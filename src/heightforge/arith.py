@@ -31,6 +31,7 @@ from ._intervals import (
 from .errors import DomainError, SpecError
 
 from mpmath import iv
+from sympy import perfect_power
 
 # ---------------------------------------------------------------------------
 # rational serialization ("num/den" strings in all I/O)
@@ -159,17 +160,21 @@ def factor_integer(n: int) -> dict[int, int]:
             n //= p
     if n == 1:
         return out
-    stack = [n]
+    stack = [(n, 1)]  # (cofactor, multiplicity it carries)
     while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
+        m, k = stack.pop()
         if is_prime(m):
-            out[m] = out.get(m, 0) + 1
+            out[m] = out.get(m, 0) + k
+            continue
+        power = perfect_power(m)
+        if power:
+            # Pollard rho is slow on powers: factor the base once instead
+            base, exp = power
+            stack.append((base, k * exp))
             continue
         g = _pollard_rho(m)
-        stack.append(g)
-        stack.append(m // g)
+        stack.append((g, k))
+        stack.append((m // g, k))
     return dict(sorted(out.items()))
 
 

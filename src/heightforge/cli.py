@@ -19,11 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .arith import INF, Place, parse_rational
-from .constants import (
-    exceptional_places,
-    resultant_bound_check,
-    theorem1_constants,
-)
+from .constants import resultant_bound_check, theorem1_constants
 from .errors import BudgetExceeded, DomainError, NormalizationUnavailable, SpecError
 from .family import CoverAnalysis, Family, analyze_cover, is_e_general
 from .heights import arakelov_green, canonical_height, local_green, naive_height
@@ -229,8 +225,7 @@ def _check(name: str, ok: bool, detail: str) -> dict:
 
 
 def _repro_checks() -> list[dict]:
-    from .family import build_family, specialize
-    from . import _polys
+    from .family import build_family, specialized
 
     checks = []
     z2t = build_family([1, 1], 2)
@@ -244,7 +239,7 @@ def _repro_checks() -> list[dict]:
         fam = rng.choice([z2t, z3t, weighted])
         t = Fraction(rng.randint(-20, 20), rng.randint(1, 10))
         z = Fraction(rng.randint(-20, 20), rng.randint(1, 10))
-        fz = _polys.evaluate(specialize(fam, t), z)
+        fz = specialized(fam, t)(z)
         h1 = canonical_height(fam, t, fz, 1e-9)
         h2 = canonical_height(fam, t, z, 1e-9)
         worst = max(worst, abs(h1.mid - fam.d * h2.mid))

@@ -17,7 +17,6 @@ from functools import lru_cache
 from typing import Mapping, Optional
 
 from . import _polys
-from ._intervals import Interval
 from .arith import (
     INF,
     LogSum,
@@ -29,7 +28,7 @@ from .arith import (
     support,
 )
 from .errors import DomainError
-from .family import Family, specialize
+from .family import Family, specialized
 
 # ---------------------------------------------------------------------------
 # place-indexed constants
@@ -57,14 +56,6 @@ class MKConstants:
             return self.arch
         c = self.coeff_at(place.prime)
         return LogSum.single(c, place.prime) if c else LogSum.zero()
-
-    def support_places(self) -> list[Place]:
-        out = [INF] if not self.arch.is_zero() else []
-        out.extend(Place.finite(p) for p in sorted(self.finite) if self.finite[p])
-        return out
-
-    def arch_enclosure(self) -> Interval:
-        return self.arch.enclosure()
 
     def to_json(self) -> dict:
         return {
@@ -431,16 +422,6 @@ def theorem1_constants(fam: Family, s: int) -> ConstantsReport:
 # ---------------------------------------------------------------------------
 
 
-def _integral_model(fam: Family, t: Fraction) -> tuple[_polys.Coeffs, int]:
-    """(M * f_t as integer coefficients, M) with M the lcm of the
-    denominators of the specialized coefficients."""
-    cs = specialize(fam, Fraction(t))
-    m_clear = 1
-    for c in cs:
-        m_clear = m_clear * c.denominator // math.gcd(m_clear, c.denominator)
-    return tuple(c * m_clear for c in cs), m_clear
-
-
 def model_resultant(fam: Family, t: Fraction) -> Fraction:
     """Resultant of the integral model of f_t on P^1.
 
@@ -449,7 +430,7 @@ def model_resultant(fam: Family, t: Fraction) -> Fraction:
     the Sylvester resultant of the two integer forms at formal degrees (d, d).
     Its absolute value is M^{2d} |a_D|^d.
     """
-    f_int, m_clear = _integral_model(fam, t)
+    f_int, m_clear = specialized(fam, t).integral_model
     g_const = (Fraction(m_clear),)
     return _polys.resultant(f_int, g_const, m=fam.d, n=fam.d)
 
@@ -483,10 +464,9 @@ def resultant_bound_check(fam: Family, t: Fraction) -> ResultantBound:
     res = model_resultant(fam, t)
     # factor |Res| by peeling its known support (clearing primes and lead
     # primes) before falling back to general factoring
-    _, m_clear = _integral_model(fam, t)
     rest = int(abs(res))
     terms: dict[int, Fraction] = {}
-    hints = set(support(Fraction(m_clear))) if m_clear > 1 else set()
+    hints = set(specialized(fam, t).denominator_primes)
     if abs(fam.lead) != 1:
         hints |= set(support(fam.lead))
     for p in sorted(hints):

@@ -13,12 +13,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
+
+from sympy import integer_nthroot
 
 from . import _polys
 from ._polys import Coeffs
-from .arith import format_rational, newton_polygon, parse_rational, support, vp_or_none
+from .arith import (
+    LocalValue,
+    format_rational,
+    newton_polygon,
+    parse_rational,
+    support,
+    vp_or_none,
+)
 from .errors import DomainError, NormalizationUnavailable, SpecError
 
 # Minimal counts of affine poles of order prime to e for the pole-witness
@@ -177,6 +186,125 @@ def specialize(fam: Family, t: Fraction) -> Coeffs:
     return tuple(out)
 
 
+class _FiniteGreenData:
+    """Per-(family, t, p) data for the finite-place Green algorithms."""
+
+    def __init__(self, cs, d: int, p: int):
+        self.d = d
+        self.p = p
+        self.vc = [vp_or_none(c, p) for c in cs]
+        self.v_lead = self.vc[-1]
+        # invariant-disk feasibility window [rho_lo, rho_hi]
+        rho_lo = Fraction(0)
+        rho_hi: Optional[Fraction] = None
+        feasible = True
+        for i, v in enumerate(self.vc[:-1]):
+            if v is None:
+                continue
+            if i == 0:
+                rho_hi = Fraction(v) if rho_hi is None else min(rho_hi, Fraction(v))
+            elif i == 1:
+                feasible = feasible and v >= 0
+            elif v < 0:
+                rho_lo = max(rho_lo, Fraction(-v, i - 1))
+        if self.v_lead < 0:
+            rho_lo = max(rho_lo, Fraction(-self.v_lead, d - 1))
+        if rho_hi is not None and rho_lo > rho_hi:
+            feasible = False
+        self.disk_feasible = feasible
+        self.rho_lo = rho_lo
+        # upper-bound constant in valuation units
+        self.c_up = max([Fraction(0)] + [Fraction(-v) for v in self.vc if v is not None])
+
+    def escaped(self, vw: int) -> bool:
+        """Top-term domination that persists along the whole orbit."""
+        for i in range(self.d):
+            v = self.vc[i]
+            if v is not None and (self.d - i) * vw >= v - self.v_lead:
+                return False
+        return self.v_lead + self.d * vw < vw
+
+    def escape_value(self, vw: int, n: int) -> LocalValue:
+        coeff = (Fraction(-vw) - Fraction(self.v_lead, self.d - 1)) / self.d**n
+        return LocalValue.exact(coeff, self.p)
+
+    def in_disk(self, vw: Optional[int]) -> bool:
+        """vw = None encodes v = +infinity (the point 0)."""
+        if not self.disk_feasible:
+            return False
+        return vw is None or vw >= self.rho_lo
+
+    def upper_bound(self, vw: Optional[int], n: int) -> Fraction:
+        """Exact v-unit coefficient u with G <= u * log p given v(z_n) = vw."""
+        head = Fraction(0) if vw is None else max(Fraction(0), Fraction(-vw))
+        return (head + self.c_up / (self.d - 1)) / self.d**n
+
+
+class SpecializedMap:
+    """f_t(z) = F(z^e, t) for one family and parameter: the coefficients `cs`
+    (constant first), evaluation by calling the map, and each fact the local
+    and global algorithms read about f_t, computed once on first use.  Build
+    maps through the memoized `specialized`."""
+
+    def __init__(self, fam: Family, t: Fraction):
+        self.t = t
+        self.d = fam.d
+        self.cs = specialize(fam, t)
+        self._green_data: dict[int, _FiniteGreenData] = {}
+
+    def __call__(self, z: Fraction) -> Fraction:
+        return _polys.evaluate(self.cs, z)
+
+    @cached_property
+    def integral_model(self) -> tuple[Coeffs, int]:
+        """(M f_t, M) with M the lcm of the coefficient denominators."""
+        return _polys.clear_denominators(self.cs)
+
+    @cached_property
+    def tail_sum(self) -> Fraction:
+        """T = sum_{i<d} |c_i| / |c_d|."""
+        return sum(abs(c) for c in self.cs[:-1]) / abs(self.cs[-1])
+
+    @cached_property
+    def escape_radius(self) -> Fraction:
+        """Beyond this |f(w)| >= gamma |w| with gamma > 1: the orbit escapes."""
+        return max(Fraction(1), 2 * self.tail_sum, 2 / abs(self.cs[-1]))
+
+    @cached_property
+    def denominator_primes(self) -> tuple[int, ...]:
+        """Sorted primes dividing some coefficient's denominator, i.e. M."""
+        return tuple(support(Fraction(self.integral_model[1])))
+
+    @cached_property
+    def coefficient_primes(self) -> tuple[int, ...]:
+        """Sorted primes dividing some coefficient's numerator or denominator."""
+        primes = set(self.denominator_primes)
+        for c in self.cs:
+            if c != 0:
+                primes.update(support(Fraction(abs(c.numerator))))
+        return tuple(sorted(primes))
+
+    @cached_property
+    def orbit_cutoff(self) -> float:
+        """Default naive-height cutoff d h(t) + 20 for escape tests on orbits."""
+        from .heights import _naive_height_interval  # heights imports this module
+
+        return self.d * _naive_height_interval(self.t).hi + 20.0
+
+    def green_data(self, p: int) -> _FiniteGreenData:
+        """The finite-place Green data at p, built once per prime."""
+        data = self._green_data.get(p)
+        if data is None:
+            data = self._green_data[p] = _FiniteGreenData(self.cs, self.d, p)
+        return data
+
+
+@lru_cache(maxsize=256)
+def specialized(fam: Family, t: Fraction) -> SpecializedMap:
+    """The memoized SpecializedMap of fam at t."""
+    return SpecializedMap(fam, Fraction(t))
+
+
 def monic_normalize(fam: Family) -> tuple[Family, Fraction]:
     """Conjugate to a monic family: find rational alpha with
     alpha^(d-1) = a_D and return (g, alpha) where g_t(z) = alpha f_t(z/alpha),
@@ -202,26 +330,6 @@ def monic_normalize(fam: Family) -> tuple[Family, Fraction]:
     return Family(e=fam.e, form=new_form), alpha
 
 
-def _iroot(n: int, k: int) -> Optional[int]:
-    """Exact integer k-th root of n >= 0, or None."""
-    if n == 0:
-        return 0
-    r = int(round(n ** (1.0 / k))) if n.bit_length() < 900 else 1 << (n.bit_length() // k + 1)
-    # Newton until stable, then exact check around the candidate
-    while True:
-        rk = r**k
-        if rk == n:
-            return r
-        nr = ((k - 1) * r + n // r ** (k - 1)) // k
-        if nr >= r:
-            break
-        r = nr
-    for cand in (r - 1, r, r + 1, r + 2):
-        if cand > 0 and cand**k == n:
-            return cand
-    return None
-
-
 def _rational_kth_root(q: Fraction, k: int) -> Optional[Fraction]:
     """Rational x with x^k = q, or None.  For even k only q > 0 can work and
     the positive root is returned; for odd k the sign carries over."""
@@ -230,9 +338,9 @@ def _rational_kth_root(q: Fraction, k: int) -> Optional[Fraction]:
     neg = q < 0
     if neg and k % 2 == 0:
         return None
-    num = _iroot(abs(q.numerator), k)
-    den = _iroot(q.denominator, k)
-    if num is None or den is None:
+    num, num_exact = integer_nthroot(abs(q.numerator), k)
+    den, den_exact = integer_nthroot(q.denominator, k)
+    if not (num_exact and den_exact):
         return None
     root = Fraction(num, den)
     return -root if neg else root

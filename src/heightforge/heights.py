@@ -3,7 +3,9 @@ canonical heights as intervals, pair (Arakelov-style) Green functions, and the
 local height / conductor diagnostics lambda, N_{a,S}, L1, L2.
 
 Conventions.  For a specialized map f(z) = sum c_i z^i of degree d >= 2 and a
-place v of Q, the local Green's function is
+place v of Q (a `family.SpecializedMap`, which holds the coefficients, the
+escape radius R_esc and tail sum T, and the per-prime data used below), the
+local Green's function is
 
     G_v(z) = lim_n  d^{-n} log+ |f^n(z)|_v  >= 0.
 
@@ -24,7 +26,7 @@ Every algorithm below is generic in the coefficients (monic is not assumed):
   C_p = max(0, -min_i v(c_i)) log p, so G <= d^{-n}(log+ |z_n|_p + C_p/(d-1))
   and G >= 0; the upper bound decays geometrically, giving an enclosure of
   any prescribed width for orbits that stay bounded without certification.
-* archimedean, escape: for |w| >= R_esc = max(1, 2T, 2/|c_d|) with
+* archimedean, escape: for |w| > R_esc = max(1, 2T, 2/|c_d|) with
   T = sum_{i<d} |c_i| / |c_d|, writing log|f(w)| = d log|w| + log|c_d| + eta
   with |eta| <= -log(1 - T/|w|), the orbit grows monotonically and
   G = d^{-n}(log|z_n| + log|c_d|/(d-1)) +- d^{-n} eps_n/(d-1) with
@@ -67,7 +69,7 @@ from .arith import (
     vp_or_none,
 )
 from .errors import BudgetExceeded, DomainError, PrecisionLoss
-from .family import CoverAnalysis, Family, specialize
+from .family import CoverAnalysis, Family, SpecializedMap, specialized
 
 DEFAULT_TOL = 1e-9
 _EXACT_BITS = 4096  # switch from exact rationals to windowed arithmetic
@@ -150,7 +152,7 @@ def _bezout_data(Fc: list[Fraction], Gc: list[Fraction], d: int):
     return max(abs(x) for x in u), abs(det)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def height_defect_bound(fam: Family, t: Fraction) -> float:
     """A constant C_f >= 0 with |h(f_t(w)) - d h(w)| <= C_f for all rational w.
 
@@ -163,13 +165,8 @@ def height_defect_bound(fam: Family, t: Fraction) -> float:
     the gcd of numerator and denominator divides R R', so
     h(f(w)) >= d h(w) - log(2 d min(K |R'|, K' |R|)) - nothing else.
     """
-    t = Fraction(t)
-    cs = specialize(fam, t)
+    C, L = specialized(fam, t).integral_model  # integer coefficients
     d = fam.d
-    L = 1
-    for c in cs:
-        L = L * c.denominator // math.gcd(L, c.denominator)
-    C = [c * L for c in cs]  # integer coefficients
     if L == 1 and abs(C[-1]) == 1 and all(c == 0 for c in C[:-1]):
         return 0.0  # pure +-z^d: h(f(w)) = d h(w) exactly
     upper_arg = max(sum(abs(c) for c in C), Fraction(L))
@@ -222,66 +219,10 @@ class GreenResult:
         return out
 
 
-class _FiniteGreenData:
-    """Per-(family, t, p) data for the finite-place Green algorithms."""
-
-    def __init__(self, cs, d: int, p: int):
-        self.cs = cs
-        self.d = d
-        self.p = p
-        self.vc = [vp_or_none(c, p) for c in cs]
-        self.v_lead = self.vc[-1]
-        # invariant-disk feasibility window [rho_lo, rho_hi]
-        rho_lo = Fraction(0)
-        rho_hi: Optional[Fraction] = None
-        feasible = True
-        for i, v in enumerate(self.vc[:-1]):
-            if v is None:
-                continue
-            if i == 0:
-                rho_hi = Fraction(v) if rho_hi is None else min(rho_hi, Fraction(v))
-            elif i == 1:
-                feasible = feasible and v >= 0
-            elif v < 0:
-                rho_lo = max(rho_lo, Fraction(-v, i - 1))
-        if self.v_lead < 0:
-            rho_lo = max(rho_lo, Fraction(-self.v_lead, d - 1))
-        if rho_hi is not None and rho_lo > rho_hi:
-            feasible = False
-        self.disk_feasible = feasible
-        self.rho_lo = rho_lo
-        # upper-bound constant in valuation units
-        self.c_up = max([Fraction(0)] + [Fraction(-v) for v in self.vc if v is not None])
-
-    def escaped(self, vw: int) -> bool:
-        """Top-term domination that persists along the whole orbit."""
-        for i in range(self.d):
-            v = self.vc[i]
-            if v is not None and (self.d - i) * vw >= v - self.v_lead:
-                return False
-        return self.v_lead + self.d * vw < vw
-
-    def escape_value(self, vw: int, n: int) -> LocalValue:
-        coeff = (Fraction(-vw) - Fraction(self.v_lead, self.d - 1)) / self.d**n
-        return LocalValue.exact(coeff, self.p)
-
-    def in_disk(self, vw: Optional[int]) -> bool:
-        """vw = None encodes v = +infinity (the point 0)."""
-        if not self.disk_feasible:
-            return False
-        return vw is None or vw >= self.rho_lo
-
-    def upper_bound(self, vw: Optional[int], n: int) -> Fraction:
-        """Exact v-unit coefficient u with G <= u * log p given v(z_n) = vw."""
-        head = Fraction(0) if vw is None else max(Fraction(0), Fraction(-vw))
-        return (head + self.c_up / (self.d - 1)) / self.d**n
-
-
 def _finite_green(
-    fam: Family, t: Fraction, p: int, z: Fraction, tol: float, budget: int
+    fmap: SpecializedMap, p: int, z: Fraction, tol: float, budget: int
 ) -> GreenResult:
-    cs = specialize(fam, t)
-    data = _FiniteGreenData(cs, fam.d, p)
+    cs, data = fmap.cs, fmap.green_data(p)
     logp_hi = log_interval(Fraction(p)).hi
 
     def interval_exit(vw, n):
@@ -310,7 +251,7 @@ def _finite_green(
         if z_cur.numerator.bit_length() + z_cur.denominator.bit_length() > _EXACT_BITS:
             break
         seen.add(z_cur)
-        z_cur = _polys.evaluate(cs, z_cur)
+        z_cur = fmap(z_cur)
         n += 1
     if n > budget:
         coeff = data.upper_bound(vp_or_none(z_cur, p), n)
@@ -360,14 +301,9 @@ def _finite_green(
     )
 
 
-def _arch_green(
-    fam: Family, t: Fraction, z: Fraction, tol: float, budget: int
-) -> GreenResult:
-    cs = specialize(fam, t)
-    d = fam.d
+def _arch_green(fmap: SpecializedMap, z: Fraction, tol: float, budget: int) -> GreenResult:
+    cs, d = fmap.cs, fmap.d
     lead = abs(cs[-1])
-    T = sum(abs(c) for c in cs[:-1]) / lead
-    r_esc = max(Fraction(1), 2 * T, Fraction(2) / lead)
     c_up = log_interval(max(Fraction(1), sum(abs(c) for c in cs)))
     lead_term = log_interval(lead).scale(Fraction(1, d - 1))
     best_upper = math.inf
@@ -392,8 +328,8 @@ def _arch_green(
                 if upper <= tol:
                     return GreenResult(Interval(0.0, upper), "interval", n)
                 # escape refinement
-                if az_lo > r_esc:
-                    ratio = T / az_lo  # <= 1/2 in the escape region
+                if az_lo > fmap.escape_radius:
+                    ratio = fmap.tail_sum / az_lo  # <= 1/2 in the escape region
                     eps_hi = -log_interval(1 - ratio).lo
                     log_az = Interval(log_interval(az_lo).lo, log_interval(az_hi).hi)
                     tail = Interval(-eps_hi, eps_hi).scale(Fraction(1, d - 1))
@@ -443,9 +379,10 @@ def local_green(
     t, z = Fraction(t), Fraction(z)
     if budget is None:
         budget = 64 * fam.d
+    fmap = specialized(fam, t)
     if v.is_archimedean:
-        return _arch_green(fam, t, z, tol, budget)
-    return _finite_green(fam, t, v.prime, z, tol, budget)
+        return _arch_green(fmap, z, tol, budget)
+    return _finite_green(fmap, v.prime, z, tol, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +394,7 @@ def _height_places(fam: Family, t: Fraction, z: Fraction) -> list[Place]:
     """Places where G can be nonzero: infinity plus primes dividing any
     specialized-coefficient denominator or the denominator of z (everywhere
     else the orbit stays p-integral, so G = 0)."""
-    primes: set[int] = set()
-    for c in specialize(fam, t):
-        if c != 0:
-            primes.update(support(Fraction(c.denominator)))
+    primes = set(specialized(fam, t).denominator_primes)
     primes.update(support(Fraction(z.denominator)))
     return [INF] + [Place.finite(p) for p in sorted(primes)]
 
@@ -498,7 +432,8 @@ def canonical_height(
 
 
 def _canonical_global(fam: Family, t: Fraction, z: Fraction, tol: float) -> Interval:
-    d = fam.d
+    fmap = specialized(fam, t)
+    d = fmap.d
     cf = height_defect_bound(fam, t)
     if cf == 0:
         n_steps = 1
@@ -509,7 +444,7 @@ def _canonical_global(fam: Family, t: Fraction, z: Fraction, tol: float) -> Inte
         + z.denominator.bit_length()
         + max(
             c.numerator.bit_length() + c.denominator.bit_length()
-            for c in specialize(fam, t)
+            for c in fmap.cs
         )
     )
     if base_bits * d**n_steps > 4_000_000:
@@ -517,10 +452,9 @@ def _canonical_global(fam: Family, t: Fraction, z: Fraction, tol: float) -> Inte
             "tolerance too tight for the global telescoping method; "
             "use the local method"
         )
-    cs = specialize(fam, t)
     w = z
     for _ in range(n_steps):
-        w = _polys.evaluate(cs, w)
+        w = fmap(w)
     tail = cf / ((d - 1) * d ** (n_steps - 1))
     h_n = _naive_height_interval(w).scale(Fraction(1, d**n_steps))
     return (h_n + Interval(-tail, tail)).clamp_nonneg()

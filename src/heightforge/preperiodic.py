@@ -37,13 +37,8 @@ from . import _polys
 from .arith import INF, Place, format_rational, padic_valuation, support, vp_or_none
 from .constants import exceptional_places
 from .errors import BudgetExceeded, DomainError
-from .family import CoverAnalysis, Family, specialize
-from .heights import (
-    _FiniteGreenData,
-    _naive_height_interval,
-    canonical_height,
-    local_green,
-)
+from .family import CoverAnalysis, Family, SpecializedMap, _FiniteGreenData, specialized
+from .heights import _naive_height_interval, canonical_height, local_green
 
 __all__ = [
     "CycleFound",
@@ -67,6 +62,9 @@ __all__ = [
 # element needs this many bits; heights double each step, so any certifiable
 # behaviour shows up long before this
 _ORBIT_BIT_CAP = 200_000
+
+# parameter boxes beyond this many rationals are refused before they are built
+_MAX_BOX_PARAMETERS = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -131,31 +129,21 @@ class OrbitRecord:
         }
 
 
-def _escape_place(fam: Family, cs: Sequence[Fraction], z: Fraction) -> Optional[Place]:
+def _escape_place(fmap: SpecializedMap, z: Fraction) -> Optional[Place]:
     """A place at which z lies in the certified escape region, if any.
 
     Finite places: the persistent top-term domination test (all candidate
     primes divide the denominator of z or appear in the specialized
-    coefficients).  Archimedean: |z| > max(1, 2T, 2/|lead|) with
-    T = sum_{i<d} |c_i| / |lead|, beyond which |f(w)| >= gamma |w| with
-    gamma > 1.  Both tests are exact rational comparisons.
+    coefficients).  Archimedean: |z| beyond the map's escape radius.  Both
+    tests are exact rational comparisons.
     """
-    d = fam.d
-    primes: set[int] = set(support(Fraction(z.denominator)))
-    for c in cs:
-        if c != 0:
-            primes.update(support(Fraction(c.denominator)))
-            primes.update(support(Fraction(abs(c.numerator))))
+    primes = set(support(Fraction(z.denominator)))
+    primes.update(fmap.coefficient_primes)
     for p in sorted(primes):
         vw = vp_or_none(z, p)
-        if vw is None:
-            continue
-        if _FiniteGreenData(cs, d, p).escaped(vw):
+        if vw is not None and fmap.green_data(p).escaped(vw):
             return Place.finite(p)
-    lead = abs(cs[-1])
-    t_sum = sum(abs(c) for c in cs[:-1]) / lead
-    r_esc = max(Fraction(1), 2 * t_sum, Fraction(2) / lead)
-    if abs(z) > r_esc:
+    if abs(z) > fmap.escape_radius:
         return INF
     return None
 
@@ -177,34 +165,31 @@ def iterate_orbit(
     """
     if max_steps < 1:
         raise DomainError("max_steps must be >= 1")
-    t, z = Fraction(t), Fraction(z)
-    cs = specialize(fam, t)
+    fmap = specialized(fam, t)
+    z = Fraction(z)
     if height_cutoff is None:
-        height_cutoff = fam.d * _naive_height_interval(t).hi + 20.0
+        height_cutoff = fmap.orbit_cutoff
 
     points = [z]
     heights = [_naive_height_interval(z).mid]
     seen = {z: 0}
-    w = z
-    if heights[0] > height_cutoff:
-        pl = _escape_place(fam, cs, w)
-        if pl is not None:
-            return OrbitRecord(tuple(points), EscapeCertified(pl, 0), tuple(heights))
-    for n in range(1, max_steps + 1):
-        if w.numerator.bit_length() + w.denominator.bit_length() > _ORBIT_BIT_CAP:
-            return OrbitRecord(tuple(points), OrbitTruncated(n - 1), tuple(heights))
-        w = _polys.evaluate(cs, w)
+    w, n = z, 0
+    while True:
+        if heights[-1] > height_cutoff:
+            pl = _escape_place(fmap, w)
+            if pl is not None:
+                return OrbitRecord(tuple(points), EscapeCertified(pl, n), tuple(heights))
+        bits = w.numerator.bit_length() + w.denominator.bit_length()
+        if n == max_steps or bits > _ORBIT_BIT_CAP:
+            return OrbitRecord(tuple(points), OrbitTruncated(n), tuple(heights))
+        w = fmap(w)
+        n += 1
         points.append(w)
         heights.append(_naive_height_interval(w).mid)
         if w in seen:
             j = seen[w]
             return OrbitRecord(tuple(points), CycleFound(j, n - j), tuple(heights))
         seen[w] = n
-        if heights[-1] > height_cutoff:
-            pl = _escape_place(fam, cs, w)
-            if pl is not None:
-                return OrbitRecord(tuple(points), EscapeCertified(pl, n), tuple(heights))
-    return OrbitRecord(tuple(points), OrbitTruncated(max_steps), tuple(heights))
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +494,24 @@ class ScanReport:
                 )
 
 
+def _box_size(bound: float) -> int:
+    """The largest integer N with log N <= bound.  floor(exp(bound)) is N or
+    N - 1 (exp(log 50) evaluates to 49.99...), so step down from one above."""
+    try:
+        size = math.floor(math.exp(bound)) + 1
+    except (OverflowError, ValueError):
+        raise DomainError(f"box bound {bound} cannot be enumerated") from None
+    while size > 0 and math.log(size) > bound:
+        size -= 1
+    return size
+
+
 def _rationals_in_box(bound: float) -> list[Fraction]:
-    """All x/y in lowest terms with max(|x|, y) <= exp(bound), sorted."""
-    size = math.floor(math.exp(bound))
+    """All x/y in lowest terms with max(|x|, y) <= exp(bound), sorted; a box
+    of more than _MAX_BOX_PARAMETERS (about (12/pi^2) N^2) is refused first."""
+    size = _box_size(bound)
+    if 12 / math.pi**2 * size**2 > _MAX_BOX_PARAMETERS:
+        raise DomainError(f"t-box of height {bound} exceeds {_MAX_BOX_PARAMETERS} parameters")
     out = [Fraction(0)]
     for den in range(1, size + 1):
         for num in range(1, size + 1):
@@ -539,18 +539,18 @@ def _candidate_points(
     exp(z_bound), denominator = (forced part from the bad places) x (a
     divisor supported on the exceptional primes, capped by the escape
     threshold); all other denominators put z in an escape region."""
-    size = math.floor(math.exp(z_bound))
+    size = _box_size(z_bound)
     base = 1
     for p, k in forced.items():
         base *= p ** (-k)
     if base > size:
         return
-    cs = specialize(fam, t)
+    fmap = specialized(fam, t)
     extra: list[tuple[int, int]] = []
     for pl in sorted(exceptional_places(fam), key=lambda pl: pl.sort_key()):
         if pl.is_archimedean or pl.prime in forced:
             continue
-        cap = -_min_unescaped_valuation(_FiniteGreenData(cs, fam.d, pl.prime))
+        cap = -_min_unescaped_valuation(fmap.green_data(pl.prime))
         if cap > 0:
             extra.append((pl.prime, cap))
     dens = {base}

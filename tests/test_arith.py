@@ -64,6 +64,8 @@ def test_factor_integer_matches_sympy():
     rng = random.Random(303)
     samples = [2, 3, 4, 12, 360, 2**20, 10**12 + 39]
     samples += [rng.randint(2, 10**12) for _ in range(40)]
+    p, q = 100000007, 998244353  # nine-digit primes: powers of pq reach Pollard rho
+    samples += [(p * q) ** 2, (p * q) ** 3]
     for n in samples:
         mine = factor_integer(n)
         assert mine == dict(sympy.factorint(n))

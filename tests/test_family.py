@@ -16,6 +16,7 @@ from heightforge.family import (
     monic_normalize,
     required_pole_count,
     specialize,
+    specialized,
 )
 
 
@@ -103,6 +104,22 @@ def test_factor_data():
     assert fam4.arch_root_bound == 1
 
 
+def test_specialized_map():
+    fam = build_family(["1/2", "-3", "2/9"], 2)  # z^4/2 - 3 t z^2 + 2 t^2/9
+    t = Fraction(3, 4)
+    fmap = specialized(fam, t)
+    assert specialized(fam, t) is fmap
+    cs = (Fraction(1, 8), 0, Fraction(-9, 4), 0, Fraction(1, 2))
+    assert fmap.cs == specialize(fam, t) == cs
+    assert fmap(Fraction(5, 7)) == P.evaluate(cs, Fraction(5, 7))
+    assert fmap.integral_model == ((1, 0, -18, 0, 4), 8)
+    assert fmap.tail_sum == Fraction(19, 4)
+    assert fmap.escape_radius == Fraction(19, 2)  # max(1, 2T, 2/|c_4|)
+    assert fmap.denominator_primes == (2,)
+    assert fmap.coefficient_primes == (2, 3)
+    assert fmap.green_data(2) is fmap.green_data(2)
+
+
 def test_monic_normalize_identity_for_monic():
     fam = build_family([1, 1], 2)
     g, alpha = monic_normalize(fam)
@@ -135,6 +152,20 @@ def test_monic_normalize_negative_lead_odd_power():
     assert P.evaluate(specialize(g, t), alpha * z) == alpha * P.evaluate(
         specialize(fam, t), z
     )
+
+
+def test_monic_normalize_huge_perfect_power():
+    # a_D = alpha^2 with numerator and denominator above 900 bits
+    alpha = Fraction(3**600, 5**400)
+    fam = build_family([alpha**2, 1], 3)
+    g, got = monic_normalize(fam)
+    assert got == alpha and g.monic
+    t, z = Fraction(2, 3), Fraction(-5, 4)
+    assert P.evaluate(specialize(g, t), alpha * z) == alpha * P.evaluate(
+        specialize(fam, t), z
+    )
+    with pytest.raises(NormalizationUnavailable):
+        monic_normalize(build_family([alpha**2 + 1, 1], 3))
 
 
 def test_monic_normalize_unavailable():

@@ -54,6 +54,8 @@ def test_log_int_interval_huge():
 def test_defect_pure_power():
     assert height_defect_bound(Z2T, Fraction(0)) == 0.0
     assert height_defect_bound(build_family([-1, 0, 1], 2), Fraction(0)) == 0.0
+    # the per-parameter cache must not grow for the life of the process
+    assert height_defect_bound.cache_info().maxsize is not None
 
 
 def test_defect_z2_minus_1_exhaustive():

@@ -16,6 +16,8 @@ from heightforge.preperiodic import (
     CycleFound,
     EscapeCertified,
     OrbitTruncated,
+    _candidate_points,
+    _rationals_in_box,
     bad_place_obstruction,
     certify_point,
     find_nonpower_place,
@@ -327,6 +329,16 @@ def test_scan_rejects_bad_input():
         scan(Z2T, -1.0, 1.0)
     with pytest.raises(DomainError):
         scan(build_family([2, 1], 2), 1.0, 1.0)
+    with pytest.raises(DomainError):
+        scan(Z2T, 30.0, 1.0)  # about 1e26 parameters: refused before building
+
+
+def test_boxes_reach_their_bound():
+    # floor(exp(log n)) is n - 1 for n = 20 and 50
+    box = _rationals_in_box(math.log(50))
+    assert max(q.numerator for q in box) == 50 and max(q.denominator for q in box) == 50
+    points = list(_candidate_points(Z2T, Fraction(0), math.log(20), {}))
+    assert max(z.numerator for z in points) == 20
 
 
 # -- uniformity invariants -------------------------------------------------------------
