@@ -11,18 +11,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
-import random
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from .arith import INF, Place, parse_rational
 from .constants import resultant_bound_check, theorem1_constants
 from .errors import BudgetExceeded, DomainError, NormalizationUnavailable, SpecError
 from .family import CoverAnalysis, Family, analyze_cover, is_e_general
-from .heights import arakelov_green, canonical_height, local_green, naive_height
+from .heights import arakelov_green, canonical_height, local_green
 from .preperiodic import (
     bad_place_obstruction,
     certify_point,
@@ -220,155 +217,10 @@ def _cmd_scan(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _check(name: str, ok: bool, detail: str) -> dict:
-    return {"name": name, "ok": bool(ok), "detail": detail}
-
-
-def _repro_checks() -> list[dict]:
-    from .family import build_family, specialized
-
-    checks = []
-    z2t = build_family([1, 1], 2)
-    z3t = build_family([1, 1], 3)
-    weighted = build_family([1, -3, 1], 3)
-    rng = random.Random(20260819)
-
-    # functional equation at tol 1e-9
-    worst = 0.0
-    for _ in range(30):
-        fam = rng.choice([z2t, z3t, weighted])
-        t = Fraction(rng.randint(-20, 20), rng.randint(1, 10))
-        z = Fraction(rng.randint(-20, 20), rng.randint(1, 10))
-        fz = specialized(fam, t)(z)
-        h1 = canonical_height(fam, t, fz, 1e-9)
-        h2 = canonical_height(fam, t, z, 1e-9)
-        worst = max(worst, abs(h1.mid - fam.d * h2.mid))
-    checks.append(
-        _check("functional-equation", worst <= 3e-9, f"worst mid defect {worst:.2e}")
-    )
-
-    # preperiodic inventories for z^2 + t
-    inventories = {
-        Fraction(0): {0, 1, -1},
-        Fraction(-1): {0, 1, -1},
-        Fraction(-2): {0, 1, -1, 2, -2},
-        Fraction(1, 4): {Fraction(1, 2), Fraction(-1, 2)},
-        Fraction(-3, 4): {Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-3, 2)},
-    }
-    ok = True
-    for t, expected in inventories.items():
-        rep = scan(z2t, 1.5, math.log(10), t_values=[t])
-        found = {f.z for f in rep.findings}
-        ok = ok and found == {Fraction(v) for v in expected}
-    checks.append(_check("preperiodic-inventories", ok, "5 parameters, classical orbits"))
-
-    # exact escape lower bound at bad places with e not dividing v(t)
-    ok, n_checked = True, 0
-    for _ in range(100):
-        p = rng.choice([5, 7, 11, 13])
-        k = rng.choice([1, 3, 5])
-        t = Fraction(rng.choice([1, 2, 3, 4, 6]), p**k)
-        z = Fraction(rng.randint(-30, 30))
-        res = local_green(z2t, t, Place.finite(p), z)
-        ok = ok and res.mode == "exact-escape" and res.value.coeff >= Fraction(k, 2)
-        n_checked += 1
-    checks.append(_check("escape-lower-bound", ok, f"{n_checked} exact comparisons"))
-
-    # obstruction scans: t = 1/n, squarefree n <= 50 with an odd-valuation prime
-    ok = True
-    for n in range(2, 51):
-        t = Fraction(1, n)
-        if any(rec.obstructed for rec in bad_place_obstruction(z2t, t)):
-            rep = scan(z2t, 1.0, math.log(20), t_values=[t])
-            ok = ok and not rep.findings
-    checks.append(_check("obstruction-scan", ok, "1/n parameters, n <= 50"))
-
-    # good-reduction pairing floor
-    from .constants import mk_a, mk_b
-    from .arith import LogSum
-
-    ok = True
-    for _ in range(60):
-        v = rng.choice([INF, Place.finite(2), Place.finite(3)])
-        t = Fraction(rng.randint(-1, 1), rng.randint(1, 5))
-        x = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
-        y = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
-        if x == y:
-            continue
-        g = arakelov_green(z2t, t, v, x, y, tol=1e-8)
-        bound = mk_a(z2t).at(v)
-        if mk_b(z2t).at(v).compare(bound) > 0:
-            bound = mk_b(z2t).at(v)
-        if v.is_archimedean:
-            bound = bound + LogSum.single(Fraction(1), 2)
-        ok = ok and g.hi >= -bound.enclosure().hi - 1e-9
-    checks.append(_check("goodred-pairing-floor", ok, "60 pairs"))
-
-    # resultant bound with the equality witness
-    ok = resultant_bound_check(z2t, Fraction(1, 3)).ok
-    eq = resultant_bound_check(z2t, Fraction(1, 3))
-    ok = ok and eq.lhs == eq.rhs and eq.lhs.terms == {3: Fraction(4)}
-    for _ in range(60):
-        fam = rng.choice([z2t, z3t, weighted])
-        t = Fraction(rng.randint(-30, 30), rng.randint(1, 30))
-        if t == 0:
-            continue
-        ok = ok and resultant_bound_check(fam, t).ok
-    checks.append(_check("resultant-bound", ok, "equality at t = 1/3 plus 60 random"))
-
-    # uniform lower-bound floor from the assembled constants
-    quartic = build_family([1, 0, 1], 2)
-    rep = theorem1_constants(quartic, 1)
-    eps, c_const = rep.epsilon.as_float(), rep.C_float()
-    ok = rep.status == "ok"
-    for _ in range(25):
-        t = Fraction(rng.randint(-10, 10), rng.choice([1, 3]))
-        z = Fraction(rng.randint(-10, 10), rng.choice([1, 2]))
-        cert = certify_point(quartic, t, z)
-        if cert.is_preperiodic:
-            continue
-        hi = canonical_height(quartic, t, z, 1e-6).hi
-        ok = ok and hi >= eps * float(naive_height(t)) - c_const - 1e-12
-    checks.append(_check("uniform-height-floor", ok, "25 wandering samples at s = 1"))
-
-    # composed-family desk scan (no preperiodic points besides infinity)
-    cov4 = analyze_cover([1], [1, 0, 0, 0, 1])
-    rep_scan = scan(z2t, math.log(12), math.log(20), cover=cov4)
-    ok = not rep_scan.findings and rep_scan.complete
-    ok = ok and rep_scan.t_filtered_criterion == rep_scan.t_examined - 1
-    checks.append(
-        _check(
-            "composed-scan-empty",
-            ok,
-            f"{rep_scan.t_examined} parameters, criterion filtered all but t = 0",
-        )
-    )
-
-    # pole-count table for e-generality
-    cov5 = analyze_cover([1], [1, 0, 0, 0, 0, 1])
-    table_ok = (
-        not is_e_general(cov4, 2).ok
-        and is_e_general(cov5, 2).ok
-        and is_e_general(cov5, 3).ok
-        and is_e_general(analyze_cover([1], [1, 1]), 5).ok is False
-    )
-    checks.append(_check("e-general-table", table_ok, "quartic/quintic covers"))
-
-    # local-global agreement
-    ok = True
-    for _ in range(30):
-        fam = rng.choice([z2t, z3t])
-        t = Fraction(rng.randint(-8, 8), rng.randint(1, 6))
-        z = Fraction(rng.randint(-8, 8), rng.randint(1, 6))
-        h_local = canonical_height(fam, t, z, 0.05)
-        h_global = canonical_height(fam, t, z, 0.2, method="global")
-        ok = ok and h_local.overlaps(h_global)
-    checks.append(_check("local-global-overlap", ok, "30 samples"))
-    return checks
-
-
 def _cmd_repro(args) -> dict:
-    checks = _repro_checks()
+    from ._acceptance import CRITERIA, REPRO_SIZES  # loaded only for this command
+
+    checks = [run(**REPRO_SIZES[name]).to_json() for name, run in CRITERIA.items()]
     return {"checks": checks, "ok": all(c["ok"] for c in checks)}
 
 

@@ -374,7 +374,7 @@ def local_green(
     <= tol.  Raises BudgetExceeded (carrying the best enclosure) if the step
     budget runs out first.
     """
-    if tol <= 0:
+    if not tol > 0:  # also refuses NaN
         raise DomainError("tol must be positive")
     t, z = Fraction(t), Fraction(z)
     if budget is None:
@@ -415,7 +415,7 @@ def canonical_height(
     grows as d^N, so it is practical only for loose tolerances and is meant
     as an independent cross-check of the local method.
     """
-    if tol <= 0:
+    if not tol > 0:  # also refuses NaN
         raise DomainError("tol must be positive")
     t, z = Fraction(t), Fraction(z)
     if method == "global":

@@ -63,7 +63,8 @@ __all__ = [
 # behaviour shows up long before this
 _ORBIT_BIT_CAP = 200_000
 
-# parameter boxes beyond this many rationals are refused before they are built
+# parameter and candidate boxes beyond this many rationals are refused before
+# they are enumerated
 _MAX_BOX_PARAMETERS = 10**6
 
 
@@ -538,7 +539,8 @@ def _candidate_points(
     """Candidate preperiodic points: numerator and denominator bounded by
     exp(z_bound), denominator = (forced part from the bad places) x (a
     divisor supported on the exceptional primes, capped by the escape
-    threshold); all other denominators put z in an escape region."""
+    threshold); all other denominators put z in an escape region.  More than
+    _MAX_BOX_PARAMETERS candidates (2 N per denominator) are refused first."""
     size = _box_size(z_bound)
     base = 1
     for p, k in forced.items():
@@ -556,6 +558,8 @@ def _candidate_points(
     dens = {base}
     for p, cap in extra:
         dens |= {d0 * p**j for d0 in dens for j in range(1, cap + 1) if d0 * p**j <= size}
+    if 2 * size * len(dens) > _MAX_BOX_PARAMETERS:
+        raise DomainError(f"z-box of height {z_bound} exceeds {_MAX_BOX_PARAMETERS} candidates")
     if base == 1:
         yield Fraction(0)
     for den in sorted(dens):

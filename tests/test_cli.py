@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+from heightforge._acceptance import CRITERIA
 from heightforge.cli import main
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
@@ -303,7 +304,7 @@ def _run_script(*argv, env_extra=None):
         env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "heightforge.cli", *argv],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=env, timeout=60,
     )
 
 
@@ -319,13 +320,14 @@ def test_subprocess_exit_codes():
     assert _run_script("criterion", "--d", "2", "--m", "4", "--t", "1").returncode == 0
     assert _run_script("criterion", "--d", "2", "--m", "4", "--t", "0").returncode == 2
     assert _run_script("nonsense").returncode == 1
+    huge_z_box = ("scan", "--family", FAM2, "--t-bound", "0.5", "--z-bound", "30", "--t", "0")
+    assert _run_script(*huge_z_box).returncode == 2
 
 
 def test_repro_battery(capsys):
     code, out = run_cli(capsys, "repro")
     assert code == 0
     assert out["ok"] is True
-    names = {c["name"] for c in out["checks"]}
+    assert [c["name"] for c in out["checks"]] == list(CRITERIA)
     assert len(out["checks"]) == 10
-    assert "functional-equation" in names and "composed-scan-empty" in names
     assert all(c["ok"] for c in out["checks"])

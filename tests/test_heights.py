@@ -163,8 +163,11 @@ def test_green_json_shape():
 
 
 def test_green_rejects_bad_tol():
-    with pytest.raises(DomainError):
-        local_green(Z2T, Fraction(1), INF, Fraction(1), tol=0.0)
+    for tol in (0.0, float("nan")):
+        with pytest.raises(DomainError):
+            local_green(Z2T, Fraction(1), INF, Fraction(1), tol=tol)
+        with pytest.raises(DomainError):
+            canonical_height(Z2T, Fraction(1), Fraction(1), tol)
 
 
 # -- Green's function invariants ----------------------------------------------------

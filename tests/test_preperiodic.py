@@ -331,6 +331,8 @@ def test_scan_rejects_bad_input():
         scan(build_family([2, 1], 2), 1.0, 1.0)
     with pytest.raises(DomainError):
         scan(Z2T, 30.0, 1.0)  # about 1e26 parameters: refused before building
+    with pytest.raises(DomainError):
+        scan(Z2T, 0.5, 30.0, t_values=[Fraction(0)])  # about 1e13 candidates
 
 
 def test_boxes_reach_their_bound():
