@@ -1,23 +1,21 @@
 """The ten acceptance criteria, written once.
 
 ``tests/test_acceptance.py`` runs every criterion at its defaults and
-``heightforge repro`` runs the same functions at the reduced sizes of
-``REPRO_SIZES``.  Contract seeds, counts and bounds are defaults here and
+``heightforge repro`` runs the same functions at the reduced sizes of the
+``CRITERIA`` table.  Contract seeds, counts and bounds are defaults here and
 never change: each criterion draws from its own seed (101, 202, ..., 1010)
 in a fixed call order, so a smaller count checks a prefix of the same
-samples.  A criterion returns a ``Check``; the first failing sample ends it
-with ``ok=False`` and names that sample in ``detail``, except that the
-counted criteria (2 and 7) run to the end and then require a zero count.
-Wall-time bounds and the numpy resultant oracle of criterion 10 stay in the
-tests.
+samples.  A criterion returns its pass detail (the measured margin); the
+first failing sample raises ``CriterionFailed`` naming that sample, except
+that the counted criteria (2 and 7) run to the end and then require a zero
+count.  Wall-time bounds and the numpy resultant oracle of criterion 10
+stay in the tests.
 """
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .arith import INF, LogSum, Place, factor_integer
 from .constants import (
@@ -74,47 +72,16 @@ def _is_squarefree(n: int) -> bool:
     return all(k == 1 for k in factor_integer(n).values())
 
 
-@dataclass(frozen=True)
-class Check:
-    """One criterion's verdict; `detail` holds the margin or the failing sample."""
-
-    name: str
-    ok: bool
-    detail: str
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "detail": self.detail}
-
-
-class _Failed(Exception):
-    pass
+class CriterionFailed(Exception):
+    """A criterion's failing sample, named in the message."""
 
 
 def _require(cond: bool, detail: str) -> None:
     if not cond:
-        raise _Failed(detail)
-
-
-# criterion name -> function, in criterion order
-CRITERIA: dict[str, Callable[..., Check]] = {}
-
-
-def _criterion(name: str):
-    """Register a criterion whose body returns its pass detail and fails
-    through _require."""
-    def register(body):
-        def run(**sizes) -> Check:
-            try:
-                return Check(name, True, body(**sizes))
-            except _Failed as exc:
-                return Check(name, False, str(exc))
-        CRITERIA[name] = run
-        return run
-    return register
+        raise CriterionFailed(detail)
 
 
 # 1. functional equation hhat(f_t(z)) = d * hhat(z)
-@_criterion("functional-equation")
 def functional_equation(samples: int = 200) -> str:
     rng = random.Random(101)
     worst = 0.0
@@ -131,7 +98,6 @@ def functional_equation(samples: int = 200) -> str:
 
 
 # 2. preperiodic <=> hhat = 0 on the classical quadratic inventories
-@_criterion("preperiodic-inventories")
 def preperiodic_inventories(z_bound: float = math.log(50), samples: int = 1000) -> str:
     # (a) the box scan recovers each inventory exactly
     for t, expected in INVENTORIES.items():
@@ -160,7 +126,6 @@ def preperiodic_inventories(z_bound: float = math.log(50), samples: int = 1000) 
 
 
 # 3. escape lower bound G >= (1/d) log+ |t|_p when e does not divide v_p(t)
-@_criterion("escape-lower-bound")
 def escape_lower_bound(samples: int = 1000) -> str:
     rng = random.Random(303)
     checked = 0
@@ -184,7 +149,6 @@ def escape_lower_bound(samples: int = 1000) -> str:
 
 
 # 4. obstruction scans: t = 1/n, squarefree n, no preperiodic points
-@_criterion("obstruction-scan")
 def obstruction_scan(n_max: int = 500, z_bound: float = math.log(100)) -> str:
     n_scanned = 0
     for n in range(2, n_max + 1):
@@ -198,7 +162,6 @@ def obstruction_scan(n_max: int = 500, z_bound: float = math.log(100)) -> str:
 
 
 # 5. good-reduction pairing floor g >= -max(a_v, b_v) - log2_v
-@_criterion("goodred-pairing-floor")
 def goodred_pairing_floor(samples: int = 10_000) -> str:
     rng = random.Random(505)
     places = [INF, Place.finite(2), Place.finite(3), Place.finite(5), Place.finite(7)]
@@ -227,7 +190,6 @@ def goodred_pairing_floor(samples: int = 10_000) -> str:
 
 
 # 6. resultant bound, with the exact equality witness at t = 1/3
-@_criterion("resultant-bound")
 def resultant_bound(samples: int = 1000) -> str:
     eq = resultant_bound_check(Z2T, Fraction(1, 3))
     _require(eq.ok and eq.lhs == eq.rhs == LogSum({3: Fraction(4)}),  # both sides 4 log 3
@@ -241,7 +203,6 @@ def resultant_bound(samples: int = 1000) -> str:
 
 
 # 7. uniform lower bound hhat >= eps * h(t) - C at s = 1
-@_criterion("uniform-height-floor")
 def uniform_height_floor(samples: int = 1000) -> str:
     quartic = build_family([1, 0, 1], 2)  # d = 4, e = 2
     rep = theorem1_constants(quartic, 1)
@@ -269,7 +230,6 @@ def uniform_height_floor(samples: int = 1000) -> str:
 
 
 # 8. composed-family desk scan: z^2 + 1/(1+t^4) has no preperiodic points
-@_criterion("composed-scan-empty")
 def composed_scan(t_bound: float = math.log(50), z_bound: float = math.log(100),
                   samples: int = 500) -> str:
     cover = analyze_cover([1], [1, 0, 0, 0, 1])
@@ -290,7 +250,6 @@ def composed_scan(t_bound: float = math.log(50), z_bound: float = math.log(100),
 
 
 # 9. e-generality table on the cover fixture suite
-@_criterion("e-general-table")
 def e_general_table() -> str:
     for e, count in [(2, 5), (3, 4), (4, 3), (5, 3), (6, 3), (7, 3), (11, 3)]:
         _require(required_pole_count(e) == count, f"required_pole_count({e})")
@@ -304,7 +263,6 @@ def e_general_table() -> str:
 
 
 # 10. oracle equivalence: local and global canonical heights overlap
-@_criterion("local-global-overlap")
 def local_global_overlap(samples: int = 500, rng: random.Random | None = None) -> str:
     rng = random.Random(1010) if rng is None else rng
     for _ in range(samples):
@@ -317,16 +275,18 @@ def local_global_overlap(samples: int = 500, rng: random.Random | None = None) -
     return f"{samples} local-global overlaps"
 
 
-# the sizes `heightforge repro` runs at
-REPRO_SIZES: dict[str, dict] = {
-    "functional-equation": {"samples": 30},
-    "preperiodic-inventories": {"z_bound": math.log(10), "samples": 50},
-    "escape-lower-bound": {"samples": 200},
-    "obstruction-scan": {},
-    "goodred-pairing-floor": {"samples": 60},
-    "resultant-bound": {"samples": 200},
-    "uniform-height-floor": {"samples": 25},
-    "composed-scan-empty": {"t_bound": math.log(12), "z_bound": math.log(20), "samples": 50},
-    "e-general-table": {},
-    "local-global-overlap": {"samples": 30},
+# repro check name -> (criterion, the reduced sizes `heightforge repro` runs at),
+# in criterion order
+CRITERIA = {
+    "functional-equation": (functional_equation, {"samples": 30}),
+    "preperiodic-inventories": (preperiodic_inventories, {"z_bound": math.log(10), "samples": 50}),
+    "escape-lower-bound": (escape_lower_bound, {"samples": 200}),
+    "obstruction-scan": (obstruction_scan, {}),
+    "goodred-pairing-floor": (goodred_pairing_floor, {"samples": 60}),
+    "resultant-bound": (resultant_bound, {"samples": 200}),
+    "uniform-height-floor": (uniform_height_floor, {"samples": 25}),
+    "composed-scan-empty": (composed_scan, {"t_bound": math.log(12), "z_bound": math.log(20),
+                                            "samples": 50}),
+    "e-general-table": (e_general_table, {}),
+    "local-global-overlap": (local_global_overlap, {"samples": 30}),
 }

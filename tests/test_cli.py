@@ -328,6 +328,13 @@ def test_repro_battery(capsys):
     code, out = run_cli(capsys, "repro")
     assert code == 0
     assert out["ok"] is True
-    assert [c["name"] for c in out["checks"]] == list(CRITERIA)
+    names = [c["name"] for c in out["checks"]]
+    assert names == [
+        "functional-equation", "preperiodic-inventories", "escape-lower-bound",
+        "obstruction-scan", "goodred-pairing-floor", "resultant-bound",
+        "uniform-height-floor", "composed-scan-empty", "e-general-table",
+        "local-global-overlap",
+    ]
+    assert names == list(CRITERIA)
     assert len(out["checks"]) == 10
     assert all(c["ok"] for c in out["checks"])
