@@ -6,8 +6,8 @@ representations used everywhere else:
 * LocalValue: one local quantity, either an exact rational multiple of log p
   (finite places) or a certified float interval (archimedean place).
 * LogSum: a finite formal sum of coeff * log p terms.  Sums and scalar
-  multiples stay exact; comparisons against another LogSum are decided by
-  exact integer arithmetic (compare products of prime powers), never floats.
+  multiples stay exact; comparisons against another LogSum are exact (an
+  exact zero test, then enclosures refined until the sign is certain).
 
 Conventions: v_p is the usual additive valuation with v_p(p) = 1, so
 |x|_p = p^(-v_p(x)) and log+ |x|_p = max(0, -v_p(x)) * log p.
@@ -28,7 +28,7 @@ from ._intervals import (
     log_interval,
     log_plus_interval,
 )
-from .errors import DomainError, SpecError
+from .errors import BudgetExceeded, DomainError, SpecError
 
 from mpmath import iv
 from sympy import perfect_power
@@ -315,11 +315,16 @@ class LocalValue:
         return LocalValue.interval(float(obj["lo"]), float(obj["hi"]))
 
 
+# working precision (bits) past which LogSum.compare gives up
+_COMPARE_MAX_PREC = 1 << 14
+
+
 class LogSum:
-    """Finite formal sum  sum_p  c_p * log p  with exact rational c_p.
+    """Finite formal sum  sum_p  c_p * log p  over distinct primes p with
+    exact rational c_p.
 
     Supports exact addition, scalar multiplication, and exact order
-    comparison against another LogSum (via integer prime-power products).
+    comparison against another LogSum.
     """
 
     __slots__ = ("terms",)
@@ -366,22 +371,25 @@ class LogSum:
         return self.enclosure().mid
 
     def compare(self, other: "LogSum") -> int:
-        """Exact sign of (self - other): -1, 0, or 1."""
+        """Exact sign of (self - other): -1, 0, or 1.
+
+        The logs of distinct primes are linearly independent over Q, so the
+        difference is 0 exactly when every coefficient cancels; otherwise its
+        enclosure is refined at doubling precision until it excludes 0, and
+        BudgetExceeded is raised past _COMPARE_MAX_PREC bits.
+        """
         diff = self + other.scale(Fraction(-1))
         if not diff.terms:
             return 0
-        # sum c_p log p  vs 0   <=>   prod p^(c_p) vs 1, cleared to integers
-        den = 1
-        for c in diff.terms.values():
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        lhs = rhs = 1
-        for p, c in diff.terms.items():
-            e = int(c * den)
-            if e > 0:
-                lhs *= p**e
-            else:
-                rhs *= p ** (-e)
-        return (lhs > rhs) - (lhs < rhs)
+        prec = DEFAULT_PREC
+        while prec <= _COMPARE_MAX_PREC:
+            enc = diff.enclosure(prec)
+            if enc.lo > 0:
+                return 1
+            if enc.hi < 0:
+                return -1
+            prec *= 2
+        raise BudgetExceeded(f"{diff!r} not separated from 0 at {_COMPARE_MAX_PREC} bits")
 
     def __eq__(self, other):
         return isinstance(other, LogSum) and self.compare(other) == 0

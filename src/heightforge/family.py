@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from sympy import integer_nthroot
 
@@ -254,6 +254,18 @@ class SpecializedMap:
 
     def __call__(self, z: Fraction) -> Fraction:
         return _polys.evaluate(self.cs, z)
+
+    def orbit(self, z: Fraction) -> Iterator[tuple[Fraction, int]]:
+        """The exact orbit z_0 = z, z_1 = f_t(z_0), ... as pairs (z_n, j),
+        j the index of z_n's first occurrence, so the orbit first repeats at
+        the n with j < n.  Lazy: each point after z_0 costs one evaluation
+        when it is requested.  The orbit never ends; the caller stops."""
+        seen: dict[Fraction, int] = {}
+        w, n = Fraction(z), 0
+        while True:
+            yield w, seen.setdefault(w, n)
+            w = self(w)
+            n += 1
 
     @cached_property
     def integral_model(self) -> tuple[Coeffs, int]:

@@ -34,12 +34,16 @@ Every algorithm below is generic in the coefficients (monic is not assumed):
 * archimedean, bounded: log+|f(w)| <= d log+|w| + C with
   C = log max(1, sum|c_i|), giving the same geometric interval exit.
 
-Orbits are iterated exactly (with cycle detection) while the rationals stay
-small, then in windowed p-adic arithmetic / interval arithmetic with
-restart-on-precision-loss.
+At finite places the orbit is read from `SpecializedMap.orbit`, the one
+exact orbit of the package (with its repeat detection), while the rationals
+stay small, then carried on in windowed p-adic arithmetic with
+restart-on-precision-loss; both phases share one copy of the escape, disk,
+interval and budget exits.  The archimedean place iterates intervals,
+restarting at a higher precision on loss.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -223,81 +227,56 @@ def _finite_green(
     fmap: SpecializedMap, p: int, z: Fraction, tol: float, budget: int
 ) -> GreenResult:
     cs, data = fmap.cs, fmap.green_data(p)
-    logp_hi = log_interval(Fraction(p)).hi
+    log_p = log_interval(Fraction(p))
 
-    def interval_exit(vw, n):
+    def exit_at(vw: Optional[int], n: int, repeat: bool = False) -> Optional[GreenResult]:
+        """The exit that fires at z_n, where v(z_n) = vw (None: v = +infinity)
+        and `repeat` marks a repeat of the exact orbit; None when none fires.
+        Past the budget, raises BudgetExceeded with the best upper bound."""
+        if n > budget:
+            raise BudgetExceeded(
+                f"no certificate for G_{p} after {n} steps",
+                best=(0.0, float(data.upper_bound(vw, n)) * log_p.hi),
+                steps=n,
+            )
+        if vw is not None and data.escaped(vw):
+            return GreenResult(data.escape_value(vw, n), "exact-escape", n)
+        if repeat or data.in_disk(vw):
+            return GreenResult(LocalValue.exact(Fraction(0), p), "exact-bounded", n)
         coeff = data.upper_bound(vw, n)
-        up = log_interval(Fraction(p)).scale(coeff).hi if coeff else 0.0
+        up = log_p.scale(coeff).hi if coeff else 0.0
         if up <= tol:
             return GreenResult(Interval(0.0, up), "interval", n)
         return None
 
-    # phase 1: exact rational orbit with cycle detection
-    z_cur = Fraction(z)
-    n = 0
-    seen: set[Fraction] = set()
-    while n <= budget:
-        vw = vp_or_none(z_cur, p)
-        if vw is not None and data.escaped(vw):
-            return GreenResult(data.escape_value(vw, n), "exact-escape", n)
-        if data.in_disk(vw):
-            return GreenResult(LocalValue.exact(Fraction(0), p), "exact-bounded", n)
-        if z_cur in seen:
-            # the exact orbit repeats: bounded at every place
-            return GreenResult(LocalValue.exact(Fraction(0), p), "exact-bounded", n)
-        exit_res = interval_exit(vw, n)
-        if exit_res is not None:
-            return exit_res
-        if z_cur.numerator.bit_length() + z_cur.denominator.bit_length() > _EXACT_BITS:
+    # phase 1: the exact orbit, until a point outgrows _EXACT_BITS
+    for n, (w, first) in enumerate(fmap.orbit(z)):
+        res = exit_at(vp_or_none(w, p), n, repeat=first < n)
+        if res is not None:
+            return res
+        if w.numerator.bit_length() + w.denominator.bit_length() > _EXACT_BITS:
             break
-        seen.add(z_cur)
-        z_cur = fmap(z_cur)
-        n += 1
-    if n > budget:
-        coeff = data.upper_bound(vp_or_none(z_cur, p), n)
-        raise BudgetExceeded(
-            f"no certificate for G_{p} after {n} steps",
-            best=(0.0, float(coeff) * logp_hi),
-            steps=n,
-        )
 
-    # phase 2: windowed p-adic orbit, restarting with more digits on loss
-    snapshot, n0 = z_cur, n
+    # phase 2: windowed p-adic orbit from z_n, restarting with more digits on loss
     rel = _REL_PREC0
     for _ in range(_MAX_RESTARTS):
         try:
-            v0 = vp_or_none(snapshot, p)
-            x = PAdic.from_fraction(snapshot, p, (0 if v0 is None else v0) + rel)
+            x = PAdic.from_fraction(w, p, vp_or_none(w, p) + rel)
             cs_p = [PAdic.from_fraction(c, p, (vp_or_none(c, p) or 0) + rel) for c in cs]
-            n = n0
-            while n <= budget:
-                vw = x.valuation_exact()
-                if vw is not None and data.escaped(vw):
-                    return GreenResult(data.escape_value(vw, n), "exact-escape", n)
+            for m in itertools.count(n):
                 if x.is_zeroish and not data.in_disk(x.abs_prec):
                     raise PrecisionLoss("zeroish value below disk threshold")
-                if data.in_disk(x.abs_prec if x.is_zeroish else vw):
-                    return GreenResult(
-                        LocalValue.exact(Fraction(0), p), "exact-bounded", n
-                    )
-                exit_res = interval_exit(vw, n)
-                if exit_res is not None:
-                    return exit_res
+                res = exit_at(x.valuation_exact(), m)
+                if res is not None:
+                    return res
                 acc = cs_p[-1]
                 for c in reversed(cs_p[:-1]):
                     acc = acc * x + c
                 x = acc
-                n += 1
-            coeff = data.upper_bound(x.valuation_exact(), n)
-            raise BudgetExceeded(
-                f"no certificate for G_{p} after {n} steps",
-                best=(0.0, float(coeff) * logp_hi),
-                steps=n,
-            )
         except PrecisionLoss:
             rel *= 2
     raise BudgetExceeded(
-        f"p-adic precision exhausted for G_{p}", best=None, steps=n0
+        f"p-adic precision exhausted for G_{p}", best=None, steps=n
     )
 
 
@@ -374,8 +353,10 @@ def local_green(
     <= tol.  Raises BudgetExceeded (carrying the best enclosure) if the step
     budget runs out first.
     """
-    if not tol > 0:  # also refuses NaN
-        raise DomainError("tol must be positive")
+    if not 0 < tol < math.inf:  # also refuses NaN
+        raise DomainError("tol must be positive and finite")
+    if budget is not None and budget < 0:
+        raise DomainError("budget must be >= 0")
     t, z = Fraction(t), Fraction(z)
     if budget is None:
         budget = 64 * fam.d
@@ -415,8 +396,8 @@ def canonical_height(
     grows as d^N, so it is practical only for loose tolerances and is meant
     as an independent cross-check of the local method.
     """
-    if not tol > 0:  # also refuses NaN
-        raise DomainError("tol must be positive")
+    if not 0 < tol < math.inf:  # also refuses NaN
+        raise DomainError("tol must be positive and finite")
     t, z = Fraction(t), Fraction(z)
     if method == "global":
         return _canonical_global(fam, t, z, tol)
@@ -452,9 +433,7 @@ def _canonical_global(fam: Family, t: Fraction, z: Fraction, tol: float) -> Inte
             "tolerance too tight for the global telescoping method; "
             "use the local method"
         )
-    w = z
-    for _ in range(n_steps):
-        w = fmap(w)
+    w, _ = next(itertools.islice(fmap.orbit(z), n_steps, None))
     tail = cf / ((d - 1) * d ** (n_steps - 1))
     h_n = _naive_height_interval(w).scale(Fraction(1, d**n_steps))
     return (h_n + Interval(-tail, tail)).clamp_nonneg()

@@ -167,15 +167,16 @@ def iterate_orbit(
     if max_steps < 1:
         raise DomainError("max_steps must be >= 1")
     fmap = specialized(fam, t)
-    z = Fraction(z)
     if height_cutoff is None:
         height_cutoff = fmap.orbit_cutoff
 
-    points = [z]
-    heights = [_naive_height_interval(z).mid]
-    seen = {z: 0}
-    w, n = z, 0
-    while True:
+    points: list[Fraction] = []
+    heights: list[float] = []
+    for n, (w, first) in enumerate(fmap.orbit(z)):
+        points.append(w)
+        heights.append(_naive_height_interval(w).mid)
+        if first < n:
+            return OrbitRecord(tuple(points), CycleFound(first, n - first), tuple(heights))
         if heights[-1] > height_cutoff:
             pl = _escape_place(fmap, w)
             if pl is not None:
@@ -183,14 +184,6 @@ def iterate_orbit(
         bits = w.numerator.bit_length() + w.denominator.bit_length()
         if n == max_steps or bits > _ORBIT_BIT_CAP:
             return OrbitRecord(tuple(points), OrbitTruncated(n), tuple(heights))
-        w = fmap(w)
-        n += 1
-        points.append(w)
-        heights.append(_naive_height_interval(w).mid)
-        if w in seen:
-            j = seen[w]
-            return OrbitRecord(tuple(points), CycleFound(j, n - j), tuple(heights))
-        seen[w] = n
 
 
 # ---------------------------------------------------------------------------
@@ -628,9 +621,9 @@ def _scan_one(
     }
     for z in _candidate_points(fam, param, z_bound, forced):
         res["checked"] += 1
-        bucket = math.floor(_naive_height_interval(z).mid)
-        res["heights"][bucket] = res["heights"].get(bucket, 0) + 1
         record = iterate_orbit(fam, param, z, budget)
+        bucket = math.floor(record.naive_heights[0])
+        res["heights"][bucket] = res["heights"].get(bucket, 0) + 1
         if isinstance(record.event, CycleFound):
             res["findings"].append(
                 Finding(t, z, record.event.preperiod, record.event.period)

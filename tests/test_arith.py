@@ -179,6 +179,11 @@ def test_logsum_compare_exact():
     big_a = LogSum.single(Fraction(485), 3)
     big_b = LogSum.single(Fraction(769), 2)
     assert big_a.compare(big_b) == (1 if 3**485 > 2**769 else -1)
+    # clearing the denominators 6^6 and 7^6 would build integers of about
+    # 5.5e9 bits; the enclosure decides at once
+    small = LogSum({2: Fraction(46655, 46656)})
+    large = LogSum({3: Fraction(117648, 117649)})
+    assert small.compare(large) == -1 and large.compare(small) == 1
 
 
 def test_logsum_enclosure_contains_float():

@@ -322,6 +322,9 @@ def test_subprocess_exit_codes():
     assert _run_script("nonsense").returncode == 1
     huge_z_box = ("scan", "--family", FAM2, "--t-bound", "0.5", "--z-bound", "30", "--t", "0")
     assert _run_script(*huge_z_box).returncode == 2
+    point = ("--family", FAM2, "--t", "-1", "--z", "1/3")
+    assert _run_script("height", *point, "--tol", "inf").returncode == 2
+    assert _run_script("green", *point, "--place", "inf", "--budget", "-1").returncode == 2
 
 
 def test_repro_battery(capsys):

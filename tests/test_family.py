@@ -1,5 +1,6 @@
 """Family construction, specialization, monic normalization, and parameter
 covers."""
+import itertools
 import random
 from fractions import Fraction
 
@@ -104,7 +105,7 @@ def test_factor_data():
     assert fam4.arch_root_bound == 1
 
 
-def test_specialized_map():
+def test_specialized_map(monkeypatch):
     fam = build_family(["1/2", "-3", "2/9"], 2)  # z^4/2 - 3 t z^2 + 2 t^2/9
     t = Fraction(3, 4)
     fmap = specialized(fam, t)
@@ -118,6 +119,19 @@ def test_specialized_map():
     assert fmap.denominator_primes == (2,)
     assert fmap.coefficient_primes == (2, 3)
     assert fmap.green_data(2) is fmap.green_data(2)
+
+    # the exact orbit with first-occurrence indices: z^2 - 1 from 0 repeats at z_2
+    minus_one = specialized(build_family([1, 1], 2), Fraction(-1))
+    assert list(itertools.islice(minus_one.orbit(Fraction(0)), 3)) == [(0, 0), (-1, 1), (0, 0)]
+    # lazy: one evaluation per point after z_0, none ahead of the request
+    calls = []
+    evaluate = P.evaluate
+    monkeypatch.setattr(P, "evaluate", lambda cs, z: calls.append(z) or evaluate(cs, z))
+    orbit = minus_one.orbit(Fraction(1, 3))  # wandering
+    for n in range(6):
+        w, first = next(orbit)
+        assert first == n and len(calls) == n
+    assert w == evaluate(minus_one.cs, calls[-1])
 
 
 def test_monic_normalize_identity_for_monic():

@@ -163,11 +163,13 @@ def test_green_json_shape():
 
 
 def test_green_rejects_bad_tol():
-    for tol in (0.0, float("nan")):
+    for tol in (0.0, float("nan"), float("inf")):
         with pytest.raises(DomainError):
             local_green(Z2T, Fraction(1), INF, Fraction(1), tol=tol)
         with pytest.raises(DomainError):
             canonical_height(Z2T, Fraction(1), Fraction(1), tol)
+    with pytest.raises(DomainError):
+        local_green(Z2T, Fraction(1), INF, Fraction(1), budget=-1)
 
 
 # -- Green's function invariants ----------------------------------------------------
