@@ -40,6 +40,21 @@ stay small, then carried on in windowed p-adic arithmetic with
 restart-on-precision-loss; both phases share one copy of the escape, disk,
 interval and budget exits.  The archimedean place iterates intervals,
 restarting at a higher precision on loss.
+
+Filter, then certify.  The interval and escape exits above are certified
+with mpmath enclosures (a logarithm and a rational scaling each), yet on most
+orbit steps they cannot fire: the bound is still far above tol.  Before each
+such enclosure both loops compute a cheap float lower bound on the value the
+enclosure would produce -- 2^k log p for the finite interval exit,
+(k log 2 + C/(d-1)) d^-n for the archimedean bounded exit and
+2^(k+1)/((d-1) d^n) for the archimedean escape width, each k read from bit
+lengths (a rational is never converted to a float, so nothing overflows),
+each float operation pushed one ulp down past its rounding, and d^-n a float
+power that underflows to 0.  When that bound exceeds tol the exit cannot
+fire and the enclosure is skipped.  The filter only skips: every value
+returned or reported (including a BudgetExceeded's best bound, which
+computes the skipped archimedean bounds it needs when it is raised) is the
+certified enclosure, identical to the unfiltered loop's.
 """
 from __future__ import annotations
 
@@ -54,6 +69,7 @@ from . import _polys
 from ._intervals import (
     DEFAULT_PREC,
     Interval,
+    _down,
     iv_from_fraction,
     iv_prec,
     iv_to_fractions,
@@ -79,6 +95,7 @@ DEFAULT_TOL = 1e-9
 _EXACT_BITS = 4096  # switch from exact rationals to windowed arithmetic
 _REL_PREC0 = 64  # initial p-adic relative precision (digits)
 _MAX_RESTARTS = 10
+_LN2_LO = _down(math.log(2))  # a float <= log 2
 
 __all__ = [
     "DEFAULT_TOL",
@@ -223,6 +240,12 @@ class GreenResult:
         return out
 
 
+def _log2_floor(q: Fraction) -> int:
+    """An integer k < log2 q for a rational q > 0, read from bit lengths
+    (no float conversion, so huge and tiny q are fine)."""
+    return q.numerator.bit_length() - 1 - q.denominator.bit_length()
+
+
 def _finite_green(
     fmap: SpecializedMap, p: int, z: Fraction, tol: float, budget: int
 ) -> GreenResult:
@@ -244,6 +267,9 @@ def _finite_green(
         if repeat or data.in_disk(vw):
             return GreenResult(LocalValue.exact(Fraction(0), p), "exact-bounded", n)
         coeff = data.upper_bound(vw, n)
+        # filter: the enclosure below is >= coeff log p > 2^k log_p.lo
+        if coeff and _down(math.ldexp(log_p.lo, _log2_floor(coeff))) > tol:
+            return None
         up = log_p.scale(coeff).hi if coeff else 0.0
         if up <= tol:
             return GreenResult(Interval(0.0, up), "interval", n)
@@ -282,10 +308,25 @@ def _finite_green(
 
 def _arch_green(fmap: SpecializedMap, z: Fraction, tol: float, budget: int) -> GreenResult:
     cs, d = fmap.cs, fmap.d
-    lead = abs(cs[-1])
     c_up = log_interval(max(Fraction(1), sum(abs(c) for c in cs)))
-    lead_term = log_interval(lead).scale(Fraction(1, d - 1))
+    head = c_up.scale(Fraction(1, d - 1))
+    lead_term = log_interval(abs(cs[-1])).scale(Fraction(1, d - 1))
     best_upper = math.inf
+    skipped: list[tuple[float, Fraction, int]] = []  # (filter bound, |z_n| hi, n)
+
+    def upper_at(az_hi: Fraction, n: int) -> float:
+        """The bounded exit's certified upper bound on G from |z_n| <= az_hi."""
+        logplus_hi = 0.0 if az_hi <= 1 else log_interval(az_hi).hi
+        return (Interval(0.0, logplus_hi) + head).scale(Fraction(1, d**n)).hi
+
+    def best() -> tuple[float, float]:
+        """The least bounded-exit upper bound over every step so far; a
+        skipped step is computed only when its filter bound could beat it."""
+        hi = best_upper
+        for lower, az_hi, n in reversed(skipped):
+            if lower < hi:
+                hi = min(hi, upper_at(az_hi, n))
+        return (0.0, hi)
 
     prec = DEFAULT_PREC
     for _ in range(_MAX_RESTARTS):
@@ -296,25 +337,35 @@ def _arch_green(fmap: SpecializedMap, z: Fraction, tol: float, budget: int) -> G
             restart = False
             while n <= budget and not restart:
                 az_lo, az_hi = iv_to_fractions(abs(z_iv))  # |z_n| exactly
-                # bounded exit
-                logplus_hi = 0.0 if az_hi <= 1 else log_interval(az_hi).hi
-                upper = (
-                    (Interval(0.0, logplus_hi) + c_up.scale(Fraction(1, d - 1)))
-                    .scale(Fraction(1, d**n))
-                    .hi
-                )
-                best_upper = min(best_upper, upper)
-                if upper <= tol:
-                    return GreenResult(Interval(0.0, upper), "interval", n)
+                # a float <= d^-n; once it underflows to 0 no filter skips
+                decay = max(0.0, _down(_down(float(d) ** -n)))
+                # bounded exit; filter: log+ |z_n| >= k log 2
+                k = max(0, _log2_floor(az_hi))
+                lower = _down(_down(_down(k * _LN2_LO) + head.lo) * decay)
+                if lower > tol:
+                    skipped.append((lower, az_hi, n))
+                else:
+                    upper = upper_at(az_hi, n)
+                    best_upper = min(best_upper, upper)
+                    if upper <= tol:
+                        return GreenResult(Interval(0.0, upper), "interval", n)
                 # escape refinement
                 if az_lo > fmap.escape_radius:
                     ratio = fmap.tail_sum / az_lo  # <= 1/2 in the escape region
-                    eps_hi = -log_interval(1 - ratio).lo
-                    log_az = Interval(log_interval(az_lo).lo, log_interval(az_hi).hi)
-                    tail = Interval(-eps_hi, eps_hi).scale(Fraction(1, d - 1))
-                    enc = (log_az + lead_term + tail).scale(Fraction(1, d**n))
-                    if enc.width <= tol:
-                        return GreenResult(enc.clamp_nonneg(), "interval", n)
+                    # filter: width >= 2 eps / ((d-1) d^n), eps >= ratio > 2^j;
+                    # T = 0 makes the enclosure exact at once, so it never skips
+                    width_lo = (
+                        _down(_down(math.ldexp(2.0, _log2_floor(ratio)) / (d - 1)) * decay)
+                        if ratio
+                        else 0.0
+                    )
+                    if width_lo <= tol:
+                        eps_hi = -log_interval(1 - ratio).lo
+                        log_az = Interval(log_interval(az_lo).lo, log_interval(az_hi).hi)
+                        tail = Interval(-eps_hi, eps_hi).scale(Fraction(1, d - 1))
+                        enc = (log_az + lead_term + tail).scale(Fraction(1, d**n))
+                        if enc.width <= tol:
+                            return GreenResult(enc.clamp_nonneg(), "interval", n)
                 # precision health: relative width of |z_n|
                 if az_hi > 0 and float((az_hi - az_lo) / max(az_hi, Fraction(1))) > 1e-10:
                     restart = True
@@ -326,13 +377,11 @@ def _arch_green(fmap: SpecializedMap, z: Fraction, tol: float, budget: int) -> G
                 n += 1
             if not restart:
                 raise BudgetExceeded(
-                    f"no certificate for G_inf after {n} steps",
-                    best=(0.0, best_upper),
-                    steps=n,
+                    f"no certificate for G_inf after {n} steps", best=best(), steps=n
                 )
         prec *= 2
     raise BudgetExceeded(
-        "interval precision exhausted for G_inf", best=(0.0, best_upper), steps=budget
+        "interval precision exhausted for G_inf", best=best(), steps=budget
     )
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -660,6 +661,8 @@ def scan(
     """
     if t_height_bound <= 0 or z_height_bound <= 0:
         raise DomainError("scan bounds must be positive")
+    if jobs < 1:
+        raise DomainError("jobs must be >= 1")
     if not fam.monic:
         raise DomainError("scan requires a monic family")
     start = time.monotonic()
@@ -671,9 +674,11 @@ def scan(
     criterion = _criterion_shape(fam, cover) if use_criterion else None
 
     results: list[dict]
-    if jobs > 1:
+    # os.cpu_count() reads the OS on each call, so a serial scan skips it
+    workers = 1 if jobs == 1 else min(jobs, os.cpu_count() or 1, len(ts))
+    if workers > 1:
         payloads = [(fam, t, z_height_bound, budget, cover, criterion) for t in ts]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_worker, payloads, chunksize=8))
     else:
         results = [

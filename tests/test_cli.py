@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+from heightforge import heights
 from heightforge._acceptance import CRITERIA
 from heightforge.cli import main
 
@@ -192,6 +193,23 @@ def test_budget_error_exit_3_with_best(capsys):
     assert lo == 0.0 and hi > 0
 
 
+def test_budget_error_after_restarts_is_strict_json(capsys, monkeypatch):
+    monkeypatch.setattr(heights, "DEFAULT_PREC", 20)
+    monkeypatch.setattr(heights, "_MAX_RESTARTS", 1)
+    code = main([
+        "green", "--family", FAM2, "--t", "-1", "--place", "inf", "--z", "1/3",
+    ])
+    assert code == 3
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    out = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert out["error"]["kind"] == "budget"
+    lo, hi = out["error"]["best"]
+    assert lo == 0.0 and math.isfinite(hi)
+
+
 def test_cover_pole_exit_2(capsys):
     code, out = run_cli(
         capsys, "cover", "--cover", str(FIXTURES / "quintic_cover.json"),
@@ -325,6 +343,9 @@ def test_subprocess_exit_codes():
     point = ("--family", FAM2, "--t", "-1", "--z", "1/3")
     assert _run_script("height", *point, "--tol", "inf").returncode == 2
     assert _run_script("green", *point, "--place", "inf", "--budget", "-1").returncode == 2
+    small_box = ("scan", "--family", FAM2, "--t-bound", "0.8", "--z-bound", "0.8", "--t", "1")
+    assert _run_script(*small_box).returncode == 0
+    assert _run_script(*small_box, "--jobs", "0").returncode == 2
 
 
 def test_repro_battery(capsys):

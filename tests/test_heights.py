@@ -10,6 +10,8 @@ from heightforge.constants import exceptional_places, mk_a, mk_b
 from heightforge.errors import BudgetExceeded, DomainError
 from heightforge.family import analyze_cover, build_family, specialize
 from heightforge import _polys as P
+from heightforge import heights as H
+from heightforge._intervals import Interval
 from heightforge.heights import (
     GreenResult,
     Infinity,
@@ -170,6 +172,93 @@ def test_green_rejects_bad_tol():
             canonical_height(Z2T, Fraction(1), Fraction(1), tol)
     with pytest.raises(DomainError):
         local_green(Z2T, Fraction(1), INF, Fraction(1), budget=-1)
+
+
+# -- local Green's functions: results pinned from the unfiltered loops -------------
+
+Z3T = build_family([1, 1], 3)
+Z6 = build_family([1, -3, 1], 3)  # z^6 - 3t z^3 + t^2
+NONMONIC = build_family([3, 1], 2)  # 3z^2 + t
+TINY = Fraction(1, 10**400)
+
+# (family, t, place, z, tol, budget, to_json() or the BudgetExceeded's best/steps),
+# computed by the loops that ran every certified exit enclosure on every step
+GREEN_PINS = [
+    (Z2T, "1", "inf", "100", 1e-12, None, {"value_lo": 4.605220185987754, "value_hi": 4.605220185987761, "mode": "interval", "place": None, "steps": 3}),
+    (Z2T, "1", "inf", TINY, 1e-09, None, {"value_lo": 0.2036772613697027, "value_hi": 0.20367726136977732, "mode": "interval", "place": None, "steps": 7}),
+    (Z2T, "0", "inf", "1/2", 1e-10, None, {"value_lo": 0.0, "value_hi": 2e-323, "mode": "interval", "place": None, "steps": 0}),
+    (Z2T, "-1", "inf", "0", 1e-09, None, {"value_lo": 0.0, "value_hi": 6.455436167865486e-10, "mode": "interval", "place": None, "steps": 30}),
+    (Z2T, "-1", "inf", "0", 1e-30, 3, {"best": (0.0, 0.08664339756999322), "steps": 4}),
+    (Z2T, "1/4", "inf", "3/2", 1e-12, 3, {"best": (0.0, 0.4965809534055728), "steps": 4}),
+    (Z6, "2/5", "inf", "7/3", 1e-09, None, {"value_lo": 0.8309428010555677, "value_hi": 0.8309428010555702, "mode": "interval", "place": None, "steps": 2}),
+    (NONMONIC, "-7/2", "inf", "1/5", 1e-09, None, {"value_lo": 1.1311600167795448, "value_hi": 1.1311600167795466, "mode": "interval", "place": None, "steps": 5}),
+    (Z3T, "-2/3", "inf", "1/7", 1e-07, None, {"value_lo": 0.01827494156678415, "value_hi": 0.01827494306413075, "mode": "interval", "place": None, "steps": 6}),
+    # z^2 itself: tail sum T = 0, the escape enclosure is exact at once
+    (Z2T, "0", "inf", "2", 1e-10, None, {"value_lo": 0.6931471805599448, "value_hi": 0.6931471805599457, "mode": "interval", "place": None, "steps": 1}),
+    # tol equal to the exit value (bounded upper bound or escape width): the
+    # exit fires on the first step it can, so skipping that step shows
+    (Z2T, "-2", "inf", "1/3", 0.0008111028433864355, None, {"value_lo": 0.0, "value_hi": 0.0008111028433864355, "mode": "interval", "place": None, "steps": 11}),
+    (Z2T, "1/4", "inf", "3/2", 1.7299840869511307e-05, None, {"value_lo": 0.4686880094912962, "value_hi": 0.4687053093321657, "mode": "interval", "place": None, "steps": 4}),
+    (Z2T, "1", "inf", "100", 9.999500034041375e-05, None, {"value_lo": 4.605170185988088, "value_hi": 4.605270180988429, "mode": "interval", "place": None, "steps": 1}),
+    (Z3T, "-2/3", "inf", "1/7", 3.2463458567288245e-05, None, {"value_lo": 0.018258709088827228, "value_hi": 0.018291172547394517, "mode": "interval", "place": None, "steps": 5}),
+    (Z2T, "1/4", "2", "3/2", 0.0005076761576366789, None, {"value_lo": 0.0, "value_hi": 0.0005076761576366789, "mode": "interval", "place": None, "steps": 12}),
+    (Z2T, "1", "2", "1/2", 1e-09, None, {"value_lo": 0.6931471805599451, "value_hi": 0.6931471805599455, "mode": "exact-escape", "place": None, "steps": 0, "exact": {"coeff": "1", "prime": 2}}),
+    (Z2T, "1", "2", "3", 1e-09, None, {"value_lo": 0.0, "value_hi": 0.0, "mode": "exact-bounded", "place": None, "steps": 0, "exact": {"coeff": "0", "prime": 2}}),
+    (Z2T, "1/9", "3", "1/3", 1e-09, None, {"value_lo": 1.0986122886681093, "value_hi": 1.0986122886681102, "mode": "exact-escape", "place": None, "steps": 1, "exact": {"coeff": "1", "prime": 3}}),
+    (Z2T, "1/4", "2", "1/2", 1e-09, None, {"value_lo": 0.0, "value_hi": 0.0, "mode": "exact-bounded", "place": None, "steps": 1, "exact": {"coeff": "0", "prime": 2}}),
+    # t = w/(4u^2), w = 1 mod 4, u odd, v_2(z) = -1: the p-adic phase, then an interval exit
+    (Z2T, "5/36", "2", "1/2", 1e-09, None, {"value_lo": 0.0, "value_hi": 9.683154251798227e-10, "mode": "interval", "place": None, "steps": 31}),
+    (Z2T, "1/4", "2", "3/2", 1e-09, None, {"value_lo": 0.0, "value_hi": 9.683154251798227e-10, "mode": "interval", "place": None, "steps": 31}),
+    (Z2T, "1/4", "2", "3/2", 1e-30, 5, {"best": (0.0, 0.03249127408874744), "steps": 6}),
+    (Z2T, "5/36", "2", "7/2", 1e-30, 20, {"best": (0.0, 9.915549953841382e-07), "steps": 21}),
+    (NONMONIC, "-7/2", "2", "1/3", 1e-09, None, {"value_lo": 0.34657359027997253, "value_hi": 0.34657359027997275, "mode": "exact-escape", "place": None, "steps": 1, "exact": {"coeff": "1/2", "prime": 2}}),
+]
+
+
+def test_green_pinned_results():
+    for fam, t, v, z, tol, budget, expected in GREEN_PINS:
+        place = INF if v == "inf" else Place.finite(int(v))
+        args = (fam, Fraction(t), place, Fraction(z), tol, budget)
+        if "best" in expected:
+            with pytest.raises(BudgetExceeded) as ei:
+                local_green(*args)
+            got = {"best": ei.value.best, "steps": ei.value.steps}
+        else:
+            got = local_green(*args).to_json()
+        assert got == expected, args
+
+
+def test_green_enclosures_do_not_grow_with_steps(monkeypatch):
+    # count the mpmath enclosures: heights.log_interval and Interval.scale calls
+    calls = {"n": 0}
+
+    def counted(fn):
+        def wrapper(*a, **kw):
+            calls["n"] += 1
+            return fn(*a, **kw)
+        return wrapper
+
+    monkeypatch.setattr(H, "log_interval", counted(H.log_interval))
+    monkeypatch.setattr(Interval, "scale", counted(Interval.scale))
+    # archimedean: a tiny z lands near 1, then escapes; the escape exit fires at step 7
+    r = local_green(Z2T, Fraction(1), INF, TINY, tol=1e-9)
+    assert r.steps_used == 7
+    assert calls["n"] <= 10  # set-up plus the exit step; ~3 per step unfiltered
+    # 2-adic: the shell v_2 = -1 reaches the p-adic phase, interval exit at step 31
+    calls["n"] = 0
+    r = local_green(Z2T, Fraction(1, 4), Place.finite(2), Fraction(3, 2), tol=1e-9)
+    assert (r.mode, r.steps_used) == ("interval", 31)
+    assert calls["n"] <= 3  # log p, then the enclosures of the last steps
+
+
+def test_green_restart_exhaustion_reports_finite_best(monkeypatch):
+    # 20 bits cannot hold |1/3| to the loop's relative width: every try restarts
+    monkeypatch.setattr(H, "DEFAULT_PREC", 20)
+    monkeypatch.setattr(H, "_MAX_RESTARTS", 1)
+    with pytest.raises(BudgetExceeded, match="precision exhausted") as ei:
+        local_green(Z2T, Fraction(-1), INF, Fraction(1, 3), tol=1e-9)
+    lo, hi = ei.value.best
+    assert lo == 0.0 and math.isfinite(hi) and hi >= math.log(2)
 
 
 # -- Green's function invariants ----------------------------------------------------

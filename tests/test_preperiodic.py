@@ -11,6 +11,7 @@ from heightforge.constants import _mk_c, pigeonhole_delta, theorem1_constants
 from heightforge.errors import DomainError
 from heightforge.family import analyze_cover, build_family
 from heightforge.heights import arakelov_green, canonical_height, naive_height
+from heightforge import preperiodic
 from heightforge.preperiodic import (
     Certificate,
     CycleFound,
@@ -333,6 +334,40 @@ def test_scan_rejects_bad_input():
         scan(Z2T, 30.0, 1.0)  # about 1e26 parameters: refused before building
     with pytest.raises(DomainError):
         scan(Z2T, 0.5, 30.0, t_values=[Fraction(0)])  # about 1e13 candidates
+    for jobs in (0, -1):
+        with pytest.raises(DomainError):
+            scan(Z2T, 0.8, 0.8, t_values=[Fraction(1)], jobs=jobs)
+
+
+def test_scan_caps_its_workers(monkeypatch):
+    started = []
+
+    class InlinePool:
+        """Records the worker count asked for and runs the work in-process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(preperiodic, "ProcessPoolExecutor", InlinePool)
+    ts = [Fraction(-1), Fraction(0), Fraction(1)]
+    serial = scan(Z2T, 1.0, 1.0, t_values=ts)
+    for cpus, expected in ((64, 3), (2, 2)):
+        monkeypatch.setattr(preperiodic.os, "cpu_count", lambda: cpus)
+        rep = scan(Z2T, 1.0, 1.0, t_values=ts, jobs=10**6)
+        assert started.pop() == expected  # min(jobs, CPUs, parameters)
+        assert rep.findings == serial.findings
+    monkeypatch.setattr(preperiodic.os, "cpu_count", lambda: None)
+    scan(Z2T, 1.0, 1.0, t_values=ts, jobs=10**6)  # one CPU: runs serially
+    assert started == []
 
 
 def test_boxes_reach_their_bound():
