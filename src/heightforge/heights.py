@@ -453,10 +453,12 @@ def canonical_height(
     if method != "local":
         raise DomainError(f"unknown canonical height method: {method!r}")
     places = _height_places(fam, t, z)
-    n_fin = len(places) - 1
+    tol_inf, tol_fin = tol / 2, tol / (2 * max(1, len(places) - 1))
+    if tol_fin == 0:  # the smaller share underflowed
+        raise DomainError(f"tol {tol!r} is too small to split over {len(places)} places")
     parts = []
     for v in places:
-        tol_v = tol / 2 if v.is_archimedean else tol / (2 * max(1, n_fin))
+        tol_v = tol_inf if v.is_archimedean else tol_fin
         parts.append(local_green(fam, t, v, z, tol_v, budget).enclosure())
     return sum_intervals(parts).clamp_nonneg()
 

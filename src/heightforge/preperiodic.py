@@ -6,6 +6,19 @@ either by a single-place escape witness (which forces a positive local
 Green's value, hence positive canonical height) or by a canonical-height
 enclosure bounded away from zero.
 
+Orbits are cheap to run because three facts keep logs and factoring out of
+the loop:
+
+* the escape test waits until the naive height h(z_n) exceeds a cutoff, and
+  with b the bit length of max(|num z_n|, den z_n), h(z_n) lies in
+  [(b - 1) log 2, b log 2); the height enclosure is computed only when the
+  cutoff falls inside that window widened by a margin that bounds the
+  enclosure midpoint's error, so every decision equals the midpoint test;
+* an orbit's naive heights are computed from its points when first read;
+* every prime dividing den(z_n) divides den(z_0) or a coefficient of f_t,
+  and at any other prime no escape can fire, so one prime set, built when
+  the cutoff first passes, serves the whole orbit's escape tests.
+
 Fast filters used by the scanner:
 
 * bad-place obstruction: at a finite place v outside the exceptional set
@@ -30,6 +43,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from sympy import integer_nthroot
@@ -67,6 +81,15 @@ _ORBIT_BIT_CAP = 200_000
 # parameter and candidate boxes beyond this many rationals are refused before
 # they are enumerated
 _MAX_BOX_PARAMETERS = 10**6
+
+_LN2 = math.log(2)
+# For n = max(|num w|, den w) of b bits, |_naive_height_interval(w).mid - log n|
+# <= 2^-44 + b 2^-48: the logs of 50-bit integers are at most 4 ulps (2^-45)
+# wide, log(m + 1) - log m <= 2^-49 for the top 50 bits m of n, and the log 2
+# enclosure scaled by b - 50, the sums and the midpoint each add a few ulps
+# of b log 2.  Rounding (b - 1) log 2 and b log 2 to floats adds b 2^-52, so
+# a margin of (b + 1) 2^-40 covers every b with a factor of 16 to spare.
+_MID_ERROR_PER_BIT = 2.0**-40
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +139,15 @@ class OrbitRecord:
     `points` lists z, f(z), f^2(z), ...; when the event is a CycleFound the
     final entry is the first repeated value (so the points before it are
     pairwise distinct).  `naive_heights` are float naive heights, one per
-    point.
+    point (enclosure midpoints), computed from `points` when first read.
     """
 
     points: tuple[Fraction, ...]
     event: OrbitEvent
-    naive_heights: tuple[float, ...]
+
+    @cached_property
+    def naive_heights(self) -> tuple[float, ...]:
+        return tuple(_naive_height_interval(w).mid for w in self.points)
 
     def to_json(self) -> dict:
         return {
@@ -131,23 +157,49 @@ class OrbitRecord:
         }
 
 
-def _escape_place(fmap: SpecializedMap, z: Fraction) -> Optional[Place]:
+def _escape_place(fmap: SpecializedMap, z: Fraction, primes: Sequence[int]) -> Optional[Place]:
     """A place at which z lies in the certified escape region, if any.
 
-    Finite places: the persistent top-term domination test (all candidate
-    primes divide the denominator of z or appear in the specialized
-    coefficients).  Archimedean: |z| beyond the map's escape radius.  Both
-    tests are exact rational comparisons.
+    Finite places: the persistent top-term domination test at each of the
+    sorted `primes`, which must include every prime dividing den(z) or a
+    coefficient of f_t (at any other prime v(z) >= 0 and the coefficients
+    are units, so nothing escapes there).  Archimedean: |z| beyond the map's
+    escape radius.  Both tests are exact rational comparisons.
     """
-    primes = set(support(Fraction(z.denominator)))
-    primes.update(fmap.coefficient_primes)
-    for p in sorted(primes):
+    for p in primes:
         vw = vp_or_none(z, p)
         if vw is not None and fmap.green_data(p).escaped(vw):
             return Place.finite(p)
     if abs(z) > fmap.escape_radius:
         return INF
     return None
+
+
+def _orbit_primes(fmap: SpecializedMap, z: Fraction) -> list[int]:
+    """support(den z) + the coefficient primes, sorted: the primes at which
+    a point of z's orbit can escape.  Only the part of den z prime to the
+    coefficients is factored."""
+    rest = z.denominator
+    for p in fmap.coefficient_primes:
+        while rest % p == 0:
+            rest //= p
+    if rest == 1:
+        return list(fmap.coefficient_primes)
+    return sorted(set(fmap.coefficient_primes).union(support(Fraction(rest))))
+
+
+def _height_exceeds(w: Fraction, b: int, cutoff: float) -> bool:
+    """_naive_height_interval(w).mid > cutoff, for b the bit length of
+    max(|num w|, den w).  h(w) lies in [(b - 1) log 2, b log 2), so the log
+    is computed only for a cutoff inside that window widened by the
+    midpoint's error bound.  A NaN or +inf cutoff never fires and -inf
+    always does, as the midpoint comparison gives."""
+    margin = (b + 1) * _MID_ERROR_PER_BIT
+    if cutoff < (b - 1) * _LN2 - margin:
+        return True
+    if not cutoff < b * _LN2 + margin:
+        return False
+    return _naive_height_interval(w).mid > cutoff
 
 
 def iterate_orbit(
@@ -163,7 +215,10 @@ def iterate_orbit(
     The orbit stops at the first repeated value (CycleFound), or — once the
     naive height exceeds `height_cutoff` (default d*h(t) + 20) — at the first
     point lying in a certified escape region at some place (EscapeCertified).
-    Budget exhaustion is the OrbitTruncated event, not an error.
+    Budget exhaustion is the OrbitTruncated event, not an error.  The cutoff
+    test reads bit lengths and computes a log only when the cutoff lies
+    within the point's bit window; the escape tests of one orbit share the
+    prime set support(den z) + the coefficient primes, built once.
     """
     if max_steps < 1:
         raise DomainError("max_steps must be >= 1")
@@ -172,19 +227,20 @@ def iterate_orbit(
         height_cutoff = fmap.orbit_cutoff
 
     points: list[Fraction] = []
-    heights: list[float] = []
+    primes: Optional[list[int]] = None
     for n, (w, first) in enumerate(fmap.orbit(z)):
         points.append(w)
-        heights.append(_naive_height_interval(w).mid)
         if first < n:
-            return OrbitRecord(tuple(points), CycleFound(first, n - first), tuple(heights))
-        if heights[-1] > height_cutoff:
-            pl = _escape_place(fmap, w)
+            return OrbitRecord(tuple(points), CycleFound(first, n - first))
+        num_bits, den_bits = w.numerator.bit_length(), w.denominator.bit_length()
+        if _height_exceeds(w, max(num_bits, den_bits), height_cutoff):
+            if primes is None:
+                primes = _orbit_primes(fmap, points[0])
+            pl = _escape_place(fmap, w, primes)
             if pl is not None:
-                return OrbitRecord(tuple(points), EscapeCertified(pl, n), tuple(heights))
-        bits = w.numerator.bit_length() + w.denominator.bit_length()
-        if n == max_steps or bits > _ORBIT_BIT_CAP:
-            return OrbitRecord(tuple(points), OrbitTruncated(n), tuple(heights))
+                return OrbitRecord(tuple(points), EscapeCertified(pl, n))
+        if n == max_steps or num_bits + den_bits > _ORBIT_BIT_CAP:
+            return OrbitRecord(tuple(points), OrbitTruncated(n))
 
 
 # ---------------------------------------------------------------------------
@@ -620,10 +676,14 @@ def _scan_one(
         for rec in obstructions
         if rec.forced_valuation is not None
     }
+    buckets: dict[int, int] = {}  # max(|num z|, den z) -> floor(h(z))
     for z in _candidate_points(fam, param, z_bound, forced):
         res["checked"] += 1
         record = iterate_orbit(fam, param, z, budget)
-        bucket = math.floor(record.naive_heights[0])
+        size = max(abs(z.numerator), z.denominator)
+        bucket = buckets.get(size)
+        if bucket is None:
+            bucket = buckets[size] = math.floor(_naive_height_interval(z).mid)
         res["heights"][bucket] = res["heights"].get(bucket, 0) + 1
         if isinstance(record.event, CycleFound):
             res["findings"].append(

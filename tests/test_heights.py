@@ -172,6 +172,9 @@ def test_green_rejects_bad_tol():
             canonical_height(Z2T, Fraction(1), Fraction(1), tol)
     with pytest.raises(DomainError):
         local_green(Z2T, Fraction(1), INF, Fraction(1), budget=-1)
+    # positive and finite, but half of it per place underflows to 0
+    with pytest.raises(DomainError, match="too small to split over 2 places"):
+        canonical_height(Z2T, Fraction(-1), Fraction(1, 3), tol=5e-324)
 
 
 # -- local Green's functions: results pinned from the unfiltered loops -------------

@@ -4,13 +4,20 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from heightforge.arith import INF, Place, padic_valuation
+from heightforge.arith import INF, Place, padic_valuation, support, vp_or_none
 from heightforge.constants import _mk_c, pigeonhole_delta, theorem1_constants
 from heightforge.errors import DomainError
-from heightforge.family import analyze_cover, build_family
-from heightforge.heights import arakelov_green, canonical_height, naive_height
+from heightforge.family import analyze_cover, build_family, specialized
+from heightforge.heights import (
+    _naive_height_interval,
+    arakelov_green,
+    canonical_height,
+    naive_height,
+)
 from heightforge import preperiodic
 from heightforge.preperiodic import (
     Certificate,
@@ -28,6 +35,9 @@ from heightforge.preperiodic import (
 )
 
 Z2T = build_family([1, 1], 2)
+Z3T = build_family([1, 1], 3)
+Z4T2 = build_family([1, 0, 1], 2)  # z^4 + t^2
+NONMONIC = build_family([3, 1], 2)  # 3z^2 + t
 
 
 # -- orbit iteration ---------------------------------------------------------------
@@ -75,6 +85,134 @@ def test_orbit_json_shape():
     assert js["points"] == ["1", "0", "-1", "0"]
     assert js["event"] == {"kind": "cycle-found", "preperiod": 1, "period": 2}
     assert len(js["naiveHeights"]) == 4
+
+
+def _reference_escape_place(fmap, w):
+    """The escape test on the primes of den(w) and of the coefficients."""
+    for p in sorted(set(support(Fraction(w.denominator))) | set(fmap.coefficient_primes)):
+        vw = vp_or_none(w, p)
+        if vw is not None and fmap.green_data(p).escaped(vw):
+            return Place.finite(p)
+    return INF if abs(w) > fmap.escape_radius else None
+
+
+def _reference_orbit(fam, t, z, max_steps, cutoff):
+    """iterate_orbit with the log computed and the denominator factored at
+    every point."""
+    fmap = specialized(fam, t)
+    points = []
+    for n, (w, first) in enumerate(fmap.orbit(z)):
+        points.append(w)
+        if first < n:
+            return points, CycleFound(first, n - first)
+        if _naive_height_interval(w).mid > cutoff:
+            pl = _reference_escape_place(fmap, w)
+            if pl is not None:
+                return points, EscapeCertified(pl, n)
+        bits = w.numerator.bit_length() + w.denominator.bit_length()
+        if n == max_steps or bits > preperiodic._ORBIT_BIT_CAP:
+            return points, OrbitTruncated(n)
+
+
+def test_orbit_cutoff_matches_midpoint_test():
+    ln2 = math.log(2)
+    orbits = [
+        (Z2T, Fraction(1), Fraction(0)),
+        (Z2T, Fraction(-1), Fraction(1, 2)),
+        (Z2T, Fraction(1, 4), Fraction(3, 2)),
+        (Z3T, Fraction(-2, 3), Fraction(1, 7)),
+        (Z4T2, Fraction(1, 4), Fraction(3, 2)),
+        (NONMONIC, Fraction(-7, 2), Fraction(1, 5)),
+        # the midpoints of h(2^58) and h(2^116) fall just below (b - 1) log 2,
+        # and that of h(2^51 - 1) reaches b log 2: only the margin keeps these
+        (Z2T, Fraction(0), Fraction(2**58)),
+        (Z2T, Fraction(0), Fraction(2**51 - 1)),
+    ]
+    for fam, t, z in orbits:
+        full = iterate_orbit(fam, t, z, 6, height_cutoff=math.inf).points
+        cutoffs = [math.nan, math.inf, -math.inf]
+        for w in full:
+            b = max(w.numerator.bit_length(), w.denominator.bit_length())
+            mid = _naive_height_interval(w).mid
+            cutoffs += [(b - 1) * ln2, b * ln2, mid,
+                        math.nextafter(mid, -math.inf), math.nextafter(mid, math.inf)]
+        for cutoff in cutoffs:
+            rec = iterate_orbit(fam, t, z, 6, height_cutoff=cutoff)
+            points, event = _reference_orbit(fam, t, z, 6, cutoff)
+            assert (rec.points, rec.event) == (tuple(points), event), (fam, t, z, cutoff)
+    # the margin bounds the midpoint's error from log n, with the factor of 16
+    # the derivation claims, past the orbit bit cap too
+    rng = random.Random(7004)
+    with mpmath.workprec(400):
+        for b in [1, 2, 3, 49, 50, 51, 52, 64, 200, 1000, 10**4, 2 * 10**5, 10**6]:
+            for n in {1 << (b - 1), (1 << b) - 1, rng.getrandbits(b) | 1 << (b - 1)}:
+                err = abs(mpmath.mpf(_naive_height_interval(Fraction(n)).mid) - mpmath.log(n))
+                assert err <= (b + 1) * preperiodic._MID_ERROR_PER_BIT / 16, (b, n)
+
+
+def test_orbit_cutoff_computes_no_log_outside_the_windows(monkeypatch):
+    calls, factored = [], []
+
+    def counted(w):
+        calls.append(w)
+        return _naive_height_interval(w)
+
+    def counted_support(q):
+        factored.append(q)
+        return support(q)
+
+    monkeypatch.setattr(preperiodic, "_naive_height_interval", counted)
+    monkeypatch.setattr(preperiodic, "support", counted_support)
+    # 10 lies in the 15-bit window; the orbit 0, 1, 2, 5, 26, 677, ... skips it
+    for cutoff, event in ((10.0, EscapeCertified(INF, 6)), (-math.inf, EscapeCertified(INF, 3)),
+                          (math.inf, OrbitTruncated(20)), (math.nan, OrbitTruncated(20))):
+        rec = iterate_orbit(Z2T, Fraction(1), Fraction(0), 40, height_cutoff=cutoff)
+        assert rec.event == event
+        for w in rec.points:
+            b = max(w.numerator.bit_length(), w.denominator.bit_length())
+            assert not (b - 1) * math.log(2) - 1e-6 <= cutoff <= b * math.log(2) + 1e-6
+        assert calls == []
+        heights = rec.naive_heights
+        assert len(calls) == len(rec.points) == len(heights)
+        assert rec.naive_heights is heights and len(calls) == len(rec.points)
+        calls.clear()
+    # den z = 2 holds only the coefficient prime 2 of z^2 + 1/4: nothing to factor
+    rec = iterate_orbit(Z2T, Fraction(1, 4), Fraction(3, 2), 40)
+    assert rec.event == EscapeCertified(INF, 6) and factored == []
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    fam=st.sampled_from([Z2T, Z3T, Z4T2, NONMONIC]),
+    t=st.fractions(-40, 40, max_denominator=40),
+    z=st.fractions(-40, 40, max_denominator=40),
+)
+def test_orbit_prime_set_finds_the_same_escape_place(fam, t, z):
+    fmap = specialized(fam, t)
+    factored = []
+
+    def counted(q):
+        factored.append(q)
+        return support(q)
+
+    original = preperiodic.support
+    preperiodic.support = counted
+    try:
+        # the cutoff passes at every point: at most one factoring per orbit
+        rec = iterate_orbit(fam, t, z, 5, height_cutoff=-math.inf)
+        assert len(factored) <= 1
+        factored.clear()
+        iterate_orbit(fam, t, z, 5)
+        assert len(factored) <= 1
+        primes = preperiodic._orbit_primes(fmap, z)
+    finally:
+        preperiodic.support = original
+    assert primes == sorted(set(support(Fraction(z.denominator))) | set(fmap.coefficient_primes))
+    points = iterate_orbit(fam, t, z, 5, height_cutoff=math.inf).points
+    for w in points:
+        assert preperiodic._escape_place(fmap, w, primes) == _reference_escape_place(fmap, w)
+    ref_points, ref_event = _reference_orbit(fam, t, z, 5, -math.inf)
+    assert (rec.points, rec.event) == (tuple(ref_points), ref_event)
 
 
 # -- certification -------------------------------------------------------------------
