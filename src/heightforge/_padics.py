@@ -113,12 +113,3 @@ class PAdic:
         if m < _MIN_REL:
             raise PrecisionLoss("relative precision exhausted in product")
         return PAdic(p, self.k + other.k, (self.unit * other.unit) % p**m, m)
-
-    def __pow__(self, n: int) -> "PAdic":
-        assert n >= 1
-        out = self
-        for bit in bin(n)[3:]:
-            out = out * out
-            if bit == "1":
-                out = out * self
-        return out

@@ -59,12 +59,7 @@ class MKConstants:
 
     def to_json(self) -> dict:
         return {
-            "archimedean": {
-                "logTerms": {
-                    str(p): format_rational(c) for p, c in sorted(self.arch.terms.items())
-                },
-                "float": float(self.arch),
-            },
+            "archimedean": self.arch.to_json(),
             "finite": {
                 str(p): format_rational(c)
                 for p, c in sorted(self.finite.items())
@@ -208,11 +203,7 @@ def _ceil_log2(r: Fraction) -> int:
     num, den = r.numerator, r.denominator
     if num <= 0:
         raise DomainError("ceil_log2 needs a positive rational")
-    k = 0
-    while den < num:
-        den <<= 1
-        k += 1
-    return k
+    return (-(-num // den) - 1).bit_length()  # 2**k >= ceil(r) > ceil(r) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -423,16 +414,16 @@ def theorem1_constants(fam: Family, s: int) -> ConstantsReport:
 
 
 def model_resultant(fam: Family, t: Fraction) -> Fraction:
-    """Resultant of the integral model of f_t on P^1.
+    """Resultant of the integral model of f_t on P^1, M^{2d} a_D^d.
 
     Homogenize f_t to the pair [sum_j c_j x^{ej} w^{d-ej} : w^d]
-    (c_j = a_j t^{D-j}), clear denominators by the lcm M of all c_j, and take
-    the Sylvester resultant of the two integer forms at formal degrees (d, d).
-    Its absolute value is M^{2d} |a_D|^d.
+    (c_j = a_j t^{D-j}) and clear denominators by the lcm M of all c_j.  The
+    Sylvester resultant of the two integer forms at formal degrees (d, d) is
+    the leading coefficient M a_D of the first, to the d-th power, times
+    M^d from the second.
     """
-    f_int, m_clear = specialized(fam, t).integral_model
-    g_const = (Fraction(m_clear),)
-    return _polys.resultant(f_int, g_const, m=fam.d, n=fam.d)
+    m_clear = specialized(fam, t).integral_model[1]
+    return Fraction(m_clear) ** (2 * fam.d) * fam.lead**fam.d
 
 
 @dataclass(frozen=True)
@@ -459,30 +450,17 @@ class ResultantBound:
 
 def resultant_bound_check(fam: Family, t: Fraction) -> ResultantBound:
     """Exact check that log|Res| <= (2d^2/e) h(t) + 2d h(a_D), decided by
-    integer arithmetic (both sides are exact log sums)."""
+    integer arithmetic (both sides are exact log sums).  log|Res| is read
+    from Res = M^{2d} a_D^d and the primes of M, so Res is never factored."""
     t = Fraction(t)
-    res = model_resultant(fam, t)
-    # factor |Res| by peeling its known support (clearing primes and lead
-    # primes) before falling back to general factoring
-    rest = int(abs(res))
-    terms: dict[int, Fraction] = {}
-    hints = set(specialized(fam, t).denominator_primes)
-    if abs(fam.lead) != 1:
-        hints |= set(support(fam.lead))
-    for p in sorted(hints):
-        k = 0
-        while rest % p == 0:
-            rest //= p
-            k += 1
-        if k:
-            terms[p] = Fraction(k)
-    if rest > 1:
-        for p, k in log_rational_exact(Fraction(rest)).terms.items():
-            terms[p] = terms.get(p, Fraction(0)) + k
-    lhs = LogSum(terms)
+    fmap = specialized(fam, t)
     d, e = fam.d, fam.e
+    m_clear = fmap.integral_model[1]
+    lhs = LogSum(
+        {p: Fraction(2 * d * padic_valuation(m_clear, p)) for p in fmap.denominator_primes}
+    ) + log_rational_exact(abs(fam.lead)).scale(Fraction(d))
     rhs = naive_height_exact(t).scale(Fraction(2 * d * d, e)) + naive_height_exact(
         fam.lead
     ).scale(Fraction(2 * d))
     ok = lhs.compare(rhs) <= 0
-    return ResultantBound(resultant=res, lhs=lhs, rhs=rhs, ok=ok)
+    return ResultantBound(resultant=model_resultant(fam, t), lhs=lhs, rhs=rhs, ok=ok)

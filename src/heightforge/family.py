@@ -187,13 +187,25 @@ def specialize(fam: Family, t: Fraction) -> Coeffs:
 
 
 class _FiniteGreenData:
-    """Per-(family, t, p) data for the finite-place Green algorithms."""
+    """Per-(family, t, p) data for the finite-place Green algorithms.
+
+    `theta` is the escape threshold: z lies in the escape region at p
+    exactly when v(z) < theta, where
+    theta = min(-v(c_d)/(d-1), min over i < d with c_i != 0 of
+    (v(c_i) - v(c_d))/(d - i)).  Below it the top term strictly dominates
+    and v(f(z)) = v(c_d) + d v(z) < v(z), so both persist along the orbit.
+    """
 
     def __init__(self, cs, d: int, p: int):
         self.d = d
         self.p = p
         self.vc = [vp_or_none(c, p) for c in cs]
         self.v_lead = self.vc[-1]
+        self.theta = min(
+            [Fraction(-self.v_lead, d - 1)]
+            + [Fraction(v - self.v_lead, d - i)
+               for i, v in enumerate(self.vc[:-1]) if v is not None]
+        )
         # invariant-disk feasibility window [rho_lo, rho_hi]
         rho_lo = Fraction(0)
         rho_hi: Optional[Fraction] = None
@@ -215,14 +227,6 @@ class _FiniteGreenData:
         self.rho_lo = rho_lo
         # upper-bound constant in valuation units
         self.c_up = max([Fraction(0)] + [Fraction(-v) for v in self.vc if v is not None])
-
-    def escaped(self, vw: int) -> bool:
-        """Top-term domination that persists along the whole orbit."""
-        for i in range(self.d):
-            v = self.vc[i]
-            if v is not None and (self.d - i) * vw >= v - self.v_lead:
-                return False
-        return self.v_lead + self.d * vw < vw
 
     def escape_value(self, vw: int, n: int) -> LocalValue:
         coeff = (Fraction(-vw) - Fraction(self.v_lead, self.d - 1)) / self.d**n
@@ -287,14 +291,18 @@ class SpecializedMap:
         """Sorted primes dividing some coefficient's denominator, i.e. M."""
         return tuple(support(Fraction(self.integral_model[1])))
 
-    @cached_property
-    def coefficient_primes(self) -> tuple[int, ...]:
-        """Sorted primes dividing some coefficient's numerator or denominator."""
-        primes = set(self.denominator_primes)
-        for c in self.cs:
-            if c != 0:
-                primes.update(support(Fraction(abs(c.numerator))))
-        return tuple(sorted(primes))
+    def bad_primes(self, z: Fraction) -> tuple[int, ...]:
+        """The sorted primes of M and of den z: the only primes at which the
+        orbit of z can leave Z_p.  At any other prime every c_i is p-integral,
+        so the escape threshold is <= 0 and the p-integral orbit never
+        escapes.  Only the part of den z prime to M is factored."""
+        rest = z.denominator
+        for p in self.denominator_primes:
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return self.denominator_primes
+        return tuple(sorted(self.denominator_primes + tuple(support(Fraction(rest)))))
 
     @cached_property
     def orbit_cutoff(self) -> float:

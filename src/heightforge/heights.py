@@ -11,11 +11,12 @@ local Green's function is
 
 Every algorithm below is generic in the coefficients (monic is not assumed):
 
-* finite v = p, escape: if v_p(w) is low enough that the top term strictly
-  dominates -- (d - i) v(w) < v(c_i) - v(c_d) for every i < d with c_i != 0 --
-  and v(f(w)) = v(c_d) + d v(w) < v(w), both conditions persist along the
-  orbit, so the valuation recursion v(z_{m+1}) = v(c_d) + d v(z_m) is exact
-  forever and the limit collapses to the closed form
+* finite v = p, escape: if v_p(w) is below the map's threshold theta_p, so
+  that the top term strictly dominates -- (d - i) v(w) < v(c_i) - v(c_d) for
+  every i < d with c_i != 0 -- and v(f(w)) = v(c_d) + d v(w) < v(w), both
+  conditions persist along the orbit, so the valuation recursion
+  v(z_{m+1}) = v(c_d) + d v(z_m) is exact forever and the limit collapses to
+  the closed form
   G = d^{-n} (-v(z_n) - v(c_d)/(d-1)) log p, an exact rational multiple of
   log p.
 * finite v = p, bounded: a disk {v >= rho} with rho >= 0 is f-invariant as
@@ -262,7 +263,7 @@ def _finite_green(
                 best=(0.0, float(data.upper_bound(vw, n)) * log_p.hi),
                 steps=n,
             )
-        if vw is not None and data.escaped(vw):
+        if vw is not None and vw < data.theta:
             return GreenResult(data.escape_value(vw, n), "exact-escape", n)
         if repeat or data.in_disk(vw):
             return GreenResult(LocalValue.exact(Fraction(0), p), "exact-bounded", n)
@@ -421,12 +422,10 @@ def local_green(
 
 
 def _height_places(fam: Family, t: Fraction, z: Fraction) -> list[Place]:
-    """Places where G can be nonzero: infinity plus primes dividing any
-    specialized-coefficient denominator or the denominator of z (everywhere
-    else the orbit stays p-integral, so G = 0)."""
-    primes = set(specialized(fam, t).denominator_primes)
-    primes.update(support(Fraction(z.denominator)))
-    return [INF] + [Place.finite(p) for p in sorted(primes)]
+    """Places where G can be nonzero: infinity plus the map's bad primes for
+    z, those of M and of den z (everywhere else the orbit stays p-integral,
+    so G = 0)."""
+    return [INF] + [Place.finite(p) for p in specialized(fam, t).bad_primes(z)]
 
 
 def canonical_height(

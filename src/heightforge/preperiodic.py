@@ -15,9 +15,9 @@ the loop:
   cutoff falls inside that window widened by a margin that bounds the
   enclosure midpoint's error, so every decision equals the midpoint test;
 * an orbit's naive heights are computed from its points when first read;
-* every prime dividing den(z_n) divides den(z_0) or a coefficient of f_t,
-  and at any other prime no escape can fire, so one prime set, built when
-  the cutoff first passes, serves the whole orbit's escape tests.
+* every prime dividing den(z_n) divides den(z_0) or M, and at any other
+  prime no escape can fire, so one prime set, built when the cutoff first
+  passes, serves the whole orbit's escape tests.
 
 Fast filters used by the scanner:
 
@@ -52,7 +52,7 @@ from . import _polys
 from .arith import INF, Place, format_rational, padic_valuation, support, vp_or_none
 from .constants import exceptional_places
 from .errors import BudgetExceeded, DomainError
-from .family import CoverAnalysis, Family, SpecializedMap, _FiniteGreenData, specialized
+from .family import CoverAnalysis, Family, SpecializedMap, specialized
 from .heights import _naive_height_interval, canonical_height, local_green
 
 __all__ = [
@@ -160,32 +160,19 @@ class OrbitRecord:
 def _escape_place(fmap: SpecializedMap, z: Fraction, primes: Sequence[int]) -> Optional[Place]:
     """A place at which z lies in the certified escape region, if any.
 
-    Finite places: the persistent top-term domination test at each of the
-    sorted `primes`, which must include every prime dividing den(z) or a
-    coefficient of f_t (at any other prime v(z) >= 0 and the coefficients
-    are units, so nothing escapes there).  Archimedean: |z| beyond the map's
-    escape radius.  Both tests are exact rational comparisons.
+    Finite places: v_p(z) below the escape threshold theta_p, at each of
+    the sorted `primes`, which must include every prime dividing den(z) or
+    M (at any other prime v(z) >= 0 and theta_p <= 0, so nothing escapes
+    there).  Archimedean: |z| beyond the map's escape radius.  Both tests
+    are exact rational comparisons.
     """
     for p in primes:
         vw = vp_or_none(z, p)
-        if vw is not None and fmap.green_data(p).escaped(vw):
+        if vw is not None and vw < fmap.green_data(p).theta:
             return Place.finite(p)
     if abs(z) > fmap.escape_radius:
         return INF
     return None
-
-
-def _orbit_primes(fmap: SpecializedMap, z: Fraction) -> list[int]:
-    """support(den z) + the coefficient primes, sorted: the primes at which
-    a point of z's orbit can escape.  Only the part of den z prime to the
-    coefficients is factored."""
-    rest = z.denominator
-    for p in fmap.coefficient_primes:
-        while rest % p == 0:
-            rest //= p
-    if rest == 1:
-        return list(fmap.coefficient_primes)
-    return sorted(set(fmap.coefficient_primes).union(support(Fraction(rest))))
 
 
 def _height_exceeds(w: Fraction, b: int, cutoff: float) -> bool:
@@ -218,7 +205,7 @@ def iterate_orbit(
     Budget exhaustion is the OrbitTruncated event, not an error.  The cutoff
     test reads bit lengths and computes a log only when the cutoff lies
     within the point's bit window; the escape tests of one orbit share the
-    prime set support(den z) + the coefficient primes, built once.
+    map's bad primes for z, those of M and of den z, found once.
     """
     if max_steps < 1:
         raise DomainError("max_steps must be >= 1")
@@ -227,7 +214,7 @@ def iterate_orbit(
         height_cutoff = fmap.orbit_cutoff
 
     points: list[Fraction] = []
-    primes: Optional[list[int]] = None
+    primes: Optional[tuple[int, ...]] = None
     for n, (w, first) in enumerate(fmap.orbit(z)):
         points.append(w)
         if first < n:
@@ -235,7 +222,7 @@ def iterate_orbit(
         num_bits, den_bits = w.numerator.bit_length(), w.denominator.bit_length()
         if _height_exceeds(w, max(num_bits, den_bits), height_cutoff):
             if primes is None:
-                primes = _orbit_primes(fmap, points[0])
+                primes = fmap.bad_primes(points[0])
             pl = _escape_place(fmap, w, primes)
             if pl is not None:
                 return OrbitRecord(tuple(points), EscapeCertified(pl, n))
@@ -572,25 +559,15 @@ def _rationals_in_box(bound: float) -> list[Fraction]:
     return sorted(out)
 
 
-def _min_unescaped_valuation(data: _FiniteGreenData) -> int:
-    """The smallest integer valuation NOT in the escape region (escape is
-    monotone: once escaped, every smaller valuation escapes too)."""
-    v = 0
-    for _ in range(10_000):
-        if data.escaped(v - 1):
-            return v
-        v -= 1
-    raise BudgetExceeded("escape region not reached; coefficients out of range")
-
-
 def _candidate_points(
     fam: Family, t: Fraction, z_bound: float, forced: dict[int, int]
 ) -> Iterator[Fraction]:
     """Candidate preperiodic points: numerator and denominator bounded by
     exp(z_bound), denominator = (forced part from the bad places) x (a
-    divisor supported on the exceptional primes, capped by the escape
-    threshold); all other denominators put z in an escape region.  More than
-    _MAX_BOX_PARAMETERS candidates (2 N per denominator) are refused first."""
+    divisor supported on the exceptional primes, with each p to at most
+    max(0, -ceil(theta_p)), the escape threshold); all other denominators
+    put z in an escape region.  More than _MAX_BOX_PARAMETERS candidates
+    (2 N per denominator) are refused first."""
     size = _box_size(z_bound)
     base = 1
     for p, k in forced.items():
@@ -602,7 +579,7 @@ def _candidate_points(
     for pl in sorted(exceptional_places(fam), key=lambda pl: pl.sort_key()):
         if pl.is_archimedean or pl.prime in forced:
             continue
-        cap = -_min_unescaped_valuation(fmap.green_data(pl.prime))
+        cap = -math.ceil(fmap.green_data(pl.prime).theta)
         if cap > 0:
             extra.append((pl.prime, cap))
     dens = {base}

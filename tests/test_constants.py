@@ -21,6 +21,7 @@ from heightforge.arith import (
 from heightforge.constants import (
     EpsilonSymbolic,
     MKConstants,
+    _ceil_log2,
     exceptional_places,
     log2_at,
     mk_a,
@@ -329,6 +330,27 @@ def test_log2_at():
     assert log2_at(Place.finite(7)).is_zero()
 
 
+def test_ceil_log2_matches_shift_loop():
+    def shift_loop(r):
+        num, den, k = r.numerator, r.denominator, 0
+        while den < num:
+            den <<= 1
+            k += 1
+        return k
+
+    rng = random.Random(4007)
+    eps = Fraction(1, 3**50)
+    samples = [Fraction(n, d) for n in range(1, 40) for d in range(1, 40)]
+    samples += [Fraction(2**k) + s for k in (0, 1, 10, 200) for s in (-eps, 0, eps)]
+    for _ in range(3000):
+        num, den = (rng.getrandbits(rng.randint(1, 300)) + 1 for _ in range(2))
+        samples.append(Fraction(num, den))
+    for r in samples:
+        assert _ceil_log2(r) == shift_loop(r), r
+    with pytest.raises(DomainError):
+        _ceil_log2(Fraction(-1, 2))
+
+
 # -- model resultant ---------------------------------------------------------------
 
 
@@ -340,18 +362,30 @@ def test_model_resultant_examples():
 
 def test_model_resultant_closed_form():
     rng = random.Random(4005)
+    cases = [
+        (build_family(form, e), t)
+        for form, e in [([1, 1], 2), (["-2", 1], 3), (["-1/3", 2], 2), (["5/2", -1], 3),
+                        (["-3/4", 1, "2/5"], 2), ([-2, 0, 7], 3)]
+        for t in [Fraction(0), Fraction(-7, 6), Fraction(9)]
+    ]
     for _ in range(80):
         fam = build_family(
             [rng.choice([1, 2, 3, -2]), rng.randint(-5, 5), rng.choice([1, -1, 4])],
             rng.choice([2, 3]),
         )
-        t = Fraction(rng.randint(-30, 30), rng.randint(1, 30))
+        cases.append((fam, Fraction(rng.randint(-30, 30), rng.randint(1, 30))))
+    assert {fam.d for fam, _ in cases} == {2, 3, 4, 6}
+    for fam, t in cases:
         cs = specialize(fam, t)
         m_clear = 1
         for c in cs:
             m_clear = m_clear * c.denominator // math.gcd(m_clear, c.denominator)
         expected = Fraction(m_clear) ** (2 * fam.d) * abs(fam.lead) ** fam.d
         assert abs(model_resultant(fam, t)) == expected
+        # the Sylvester determinant of the integral model, sign included
+        f_int = P.scale(cs, Fraction(m_clear))
+        sylvester = P.resultant(f_int, (Fraction(m_clear),), m=fam.d, n=fam.d)
+        assert model_resultant(fam, t) == sylvester, (fam, t)
 
 
 def test_resultant_bound_equality_witness():

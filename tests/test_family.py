@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from heightforge import _polys as P
+from heightforge import family
 from heightforge.errors import DomainError, NormalizationUnavailable, SpecError
 from heightforge.family import (
     Family,
@@ -117,8 +118,13 @@ def test_specialized_map(monkeypatch):
     assert fmap.tail_sum == Fraction(19, 4)
     assert fmap.escape_radius == Fraction(19, 2)  # max(1, 2T, 2/|c_4|)
     assert fmap.denominator_primes == (2,)
-    assert fmap.coefficient_primes == (2, 3)
     assert fmap.green_data(2) is fmap.green_data(2)
+    # a point's bad primes: M's, plus those of the part of den z prime to M
+    factored = []
+    support = family.support
+    monkeypatch.setattr(family, "support", lambda q: factored.append(q) or support(q))
+    assert fmap.bad_primes(Fraction(5, 4)) == (2,) and factored == []
+    assert fmap.bad_primes(Fraction(1, 60)) == (2, 3, 5) and factored == [15]
 
     # the exact orbit with first-occurrence indices: z^2 - 1 from 0 repeats at z_2
     minus_one = specialized(build_family([1, 1], 2), Fraction(-1))

@@ -177,13 +177,3 @@ def test_padic_precision_loss_on_deep_cancellation():
     # a + b = 2^9, valuation 9, only one digit of window left
     with pytest.raises(PrecisionLoss):
         _ = a + b
-
-
-def test_padic_pow():
-    rng = random.Random(55)
-    for _ in range(60):
-        p = rng.choice([2, 5])
-        q = Fraction(rng.randint(1, 99), rng.randint(1, 99))
-        n = rng.randint(1, 6)
-        x = PAdic.from_fraction(q, p, padic_valuation(q, p) * 1 + 40)
-        _check_window(x**n, q**n)

@@ -8,6 +8,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heightforge import arith, family
 from heightforge.arith import INF, Place, padic_valuation, support, vp_or_none
 from heightforge.constants import _mk_c, pigeonhole_delta, theorem1_constants
 from heightforge.errors import DomainError
@@ -87,11 +88,33 @@ def test_orbit_json_shape():
     assert len(js["naiveHeights"]) == 4
 
 
+def _reference_escaped(data, vw):
+    """The escape region at data.p, one coefficient at a time: every lower
+    term strictly below the top one, and v(f(w)) = v(c_d) + d v(w) < v(w)."""
+    for i, v in enumerate(data.vc[:-1]):
+        if v is not None and (data.d - i) * vw >= v - data.v_lead:
+            return False
+    return data.v_lead + data.d * vw < vw
+
+
+def _reference_denominator_cap(data):
+    """The largest k with v = -k outside the escape region, by search."""
+    v = 0
+    while not _reference_escaped(data, v - 1):
+        v -= 1
+    return -v
+
+
+def _coefficient_primes(fmap):
+    """The primes of every coefficient's numerator and denominator."""
+    return {p for c in fmap.cs if c != 0 for p in support(c)}
+
+
 def _reference_escape_place(fmap, w):
     """The escape test on the primes of den(w) and of the coefficients."""
-    for p in sorted(set(support(Fraction(w.denominator))) | set(fmap.coefficient_primes)):
+    for p in sorted(set(support(Fraction(w.denominator))) | _coefficient_primes(fmap)):
         vw = vp_or_none(w, p)
-        if vw is not None and fmap.green_data(p).escaped(vw):
+        if vw is not None and _reference_escaped(fmap.green_data(p), vw):
             return Place.finite(p)
     return INF if abs(w) > fmap.escape_radius else None
 
@@ -162,7 +185,8 @@ def test_orbit_cutoff_computes_no_log_outside_the_windows(monkeypatch):
         return support(q)
 
     monkeypatch.setattr(preperiodic, "_naive_height_interval", counted)
-    monkeypatch.setattr(preperiodic, "support", counted_support)
+    monkeypatch.setattr(family, "support", counted_support)
+    specialized(Z2T, Fraction(1, 4)).denominator_primes  # factored once per map
     # 10 lies in the 15-bit window; the orbit 0, 1, 2, 5, 26, 677, ... skips it
     for cutoff, event in ((10.0, EscapeCertified(INF, 6)), (-math.inf, EscapeCertified(INF, 3)),
                           (math.inf, OrbitTruncated(20)), (math.nan, OrbitTruncated(20))):
@@ -176,7 +200,7 @@ def test_orbit_cutoff_computes_no_log_outside_the_windows(monkeypatch):
         assert len(calls) == len(rec.points) == len(heights)
         assert rec.naive_heights is heights and len(calls) == len(rec.points)
         calls.clear()
-    # den z = 2 holds only the coefficient prime 2 of z^2 + 1/4: nothing to factor
+    # den z = 2 holds only the prime 2 of M = 4 for z^2 + 1/4: nothing to factor
     rec = iterate_orbit(Z2T, Fraction(1, 4), Fraction(3, 2), 40)
     assert rec.event == EscapeCertified(INF, 6) and factored == []
 
@@ -189,14 +213,15 @@ def test_orbit_cutoff_computes_no_log_outside_the_windows(monkeypatch):
 )
 def test_orbit_prime_set_finds_the_same_escape_place(fam, t, z):
     fmap = specialized(fam, t)
+    fmap.denominator_primes  # cached per map, not per orbit
     factored = []
 
     def counted(q):
         factored.append(q)
         return support(q)
 
-    original = preperiodic.support
-    preperiodic.support = counted
+    original = family.support
+    family.support = counted
     try:
         # the cutoff passes at every point: at most one factoring per orbit
         rec = iterate_orbit(fam, t, z, 5, height_cutoff=-math.inf)
@@ -204,15 +229,24 @@ def test_orbit_prime_set_finds_the_same_escape_place(fam, t, z):
         factored.clear()
         iterate_orbit(fam, t, z, 5)
         assert len(factored) <= 1
-        primes = preperiodic._orbit_primes(fmap, z)
+        primes = fmap.bad_primes(z)
     finally:
-        preperiodic.support = original
-    assert primes == sorted(set(support(Fraction(z.denominator))) | set(fmap.coefficient_primes))
+        family.support = original
+    assert primes == tuple(sorted(
+        set(support(Fraction(z.denominator))) | set(support(Fraction(fmap.integral_model[1])))
+    ))
     points = iterate_orbit(fam, t, z, 5, height_cutoff=math.inf).points
     for w in points:
         assert preperiodic._escape_place(fmap, w, primes) == _reference_escape_place(fmap, w)
     ref_points, ref_event = _reference_orbit(fam, t, z, 5, -math.inf)
     assert (rec.points, rec.event) == (tuple(ref_points), ref_event)
+    # the threshold is the per-coefficient test, and its denominator cap the
+    # search for the first valuation outside the escape region
+    for p in _coefficient_primes(fmap) | {2, 3, 5, 7}:
+        data = fmap.green_data(p)
+        for v in range(-60, 41):
+            assert (v < data.theta) == _reference_escaped(data, v), (p, v)
+        assert max(0, -math.ceil(data.theta)) == _reference_denominator_cap(data)
 
 
 # -- certification -------------------------------------------------------------------
@@ -231,6 +265,17 @@ def test_certify_wandering_arch():
     assert cert.hhat_lower_bound > 0.2
     h = canonical_height(Z2T, Fraction(1), Fraction(0), 1e-9)
     assert cert.hhat_lower_bound <= h.hi + 1e-12
+
+
+def test_certify_factors_no_multiple_of_an_integral_parameter(monkeypatch):
+    # t = 3 p q is integral, so M = 1 and only den z = 2 is factored
+    pq = 100000007 * 999999937
+    factored = []
+    factor_integer = arith.factor_integer
+    monkeypatch.setattr(arith, "factor_integer", lambda n: factored.append(n) or factor_integer(n))
+    cert = certify_point(Z2T, Fraction(3 * pq), Fraction(1, 2))
+    assert cert.verdict == "wandering" and cert.witness == Place.finite(2)
+    assert factored and not any(n % pq == 0 for n in factored)
 
 
 def test_certify_wandering_3adic_shortcut():
