@@ -1,10 +1,13 @@
 """Certified real enclosures.
 
-Float endpoint pairs with outward rounding, backed by mpmath interval
-arithmetic for transcendental evaluations.  Every constructor and operation
-keeps the true real inside [lo, hi]: mpmath's iv context rounds outward at
-its working precision, and the final conversion to float endpoints is pushed
-one ulp outward because float() itself rounds to nearest.
+Float endpoint pairs with outward rounding, backed by `mpmath.libmp` at an
+explicit binary precision for transcendental evaluations.  Every constructor
+and operation keeps the true real inside [lo, hi].  In between, a real is a
+libmp endpoint pair (lo, hi) of raw mpf tuples: each libmp call gets its
+precision as an argument and rounds the lower endpoint by floor and the upper
+by ceiling, so nothing reads or writes a process-global precision.  The final
+conversion to float endpoints rounds each endpoint to 53 bits (to nearest)
+and then pushes it one ulp outward.
 """
 from __future__ import annotations
 
@@ -13,7 +16,18 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import iv, mp
+from mpmath.libmp import (
+    from_float,
+    from_int,
+    mpf_pos,
+    mpi_div,
+    mpi_log,
+    mpi_mul,
+    round_ceiling,
+    round_floor,
+    round_nearest,
+    to_float,
+)
 
 # Working precision for interval evaluations.  53-bit floats are the output
 # format, so 120 bits leaves a wide guard band; hot loops raise it locally.
@@ -22,14 +36,10 @@ DEFAULT_PREC = 120
 
 @contextmanager
 def iv_prec(prec: int):
-    """Temporarily set the mpmath interval context's binary precision
-    (the iv context has no workprec of its own)."""
-    old = iv.prec
-    iv.prec = prec
-    try:
-        yield
-    finally:
-        iv.prec = old
+    """Enter one attempt at binary precision `prec` and yield it.  Nothing is
+    set: every libmp call takes its precision as an argument.  The archimedean
+    Green loop enters each of its precision attempts here."""
+    yield prec
 
 
 def _down(x: float) -> float:
@@ -77,9 +87,9 @@ class Interval:
         r = Fraction(r)
         if r == 0:
             return Interval.zero()
-        with iv_prec(DEFAULT_PREC):
-            prod = _iv_interval(self) * iv_from_fraction(r)
-        return from_iv(prod)
+        x = (from_float(self.lo, DEFAULT_PREC, round_floor),
+             from_float(self.hi, DEFAULT_PREC, round_ceiling))
+        return from_iv(mpi_mul(x, iv_from_fraction(r), DEFAULT_PREC))
 
     def clamp_nonneg(self) -> "Interval":
         """Intersect with [0, +inf); the true value is known nonnegative."""
@@ -105,44 +115,43 @@ class Interval:
         return f"[{self.lo!r}, {self.hi!r}]"
 
 
-# -- mpmath bridge ----------------------------------------------------------
+# -- libmp endpoint pairs ----------------------------------------------------
 
 
-def iv_from_fraction(q: Fraction | int):
-    """Exact rational -> iv number containing it (outward at iv.prec)."""
-    q = Fraction(q)
-    if q.denominator == 1:
-        return iv.mpf(q.numerator)
-    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+def iv_from_fraction(q: Fraction | int, prec: int = DEFAULT_PREC):
+    """Exact rational (a Fraction or an int) -> libmp endpoint pair containing
+    it, outward at `prec` bits (numerator and denominator are each rounded
+    outward, then divided)."""
+    n, d = q.numerator, q.denominator
+    num = (from_int(n, prec, round_floor), from_int(n, prec, round_ceiling))
+    if d == 1:
+        return num
+    den = (from_int(d, prec, round_floor), from_int(d, prec, round_ceiling))
+    return mpi_div(num, den, prec)
 
 
-def _iv_interval(x: Interval):
-    return iv.mpf((x.lo, x.hi))
+def to_float53(x) -> float:
+    """A raw mpf rounded to nearest at 53 bits, as a float (inf past the
+    float range)."""
+    return to_float(mpf_pos(x, 53, round_nearest))
 
 
 def from_iv(x) -> Interval:
-    """iv number -> float Interval, endpoints pushed outward past the
-    float rounding of mp.mpf -> float."""
-    lo = float(mp.mpf(x.a))
-    hi = float(mp.mpf(x.b))
-    return Interval(_down(lo), _up(hi))
+    """libmp endpoint pair -> float Interval, each endpoint pushed one ulp
+    outward past its round-to-nearest conversion."""
+    return Interval(_down(to_float53(x[0])), _up(to_float53(x[1])))
 
 
-def iv_to_fractions(x) -> tuple[Fraction, Fraction]:
-    """iv number -> exact rational endpoints (no float range limits)."""
-    from mpmath import libmp
-
-    lo = Fraction(*libmp.to_rational(mp.mpf(x.a)._mpf_))
-    hi = Fraction(*libmp.to_rational(mp.mpf(x.b)._mpf_))
-    return lo, hi
+def log_iv(x, prec: int = DEFAULT_PREC) -> Interval:
+    """Certified enclosure of log over a libmp endpoint pair with 0 < lo."""
+    return from_iv(mpi_log(x, prec))
 
 
 def log_interval(q: Fraction, prec: int = DEFAULT_PREC) -> Interval:
     """Certified enclosure of log q for an exact rational q > 0."""
     if q <= 0:
         raise ValueError("log of a nonpositive rational")
-    with iv_prec(prec):
-        return from_iv(iv.log(iv_from_fraction(q)))
+    return log_iv(iv_from_fraction(q, prec), prec)
 
 
 def log_plus_interval(q: Fraction, prec: int = DEFAULT_PREC) -> Interval:

@@ -24,13 +24,12 @@ from ._intervals import (
     Interval,
     from_iv,
     iv_from_fraction,
-    iv_prec,
     log_interval,
     log_plus_interval,
 )
 from .errors import BudgetExceeded, DomainError, SpecError
 
-from mpmath import iv
+from mpmath.libmp import fzero, mpi_add, mpi_log, mpi_mul
 from sympy import perfect_power
 
 # ---------------------------------------------------------------------------
@@ -361,10 +360,10 @@ class LogSum:
     def enclosure(self, prec: int = DEFAULT_PREC) -> Interval:
         if not self.terms:
             return Interval.zero()
-        with iv_prec(prec):
-            total = iv.mpf(0)
-            for p, c in sorted(self.terms.items()):
-                total += iv.log(iv.mpf(p)) * iv_from_fraction(c)
+        total = (fzero, fzero)
+        for p, c in sorted(self.terms.items()):
+            log_p = mpi_log(iv_from_fraction(p, prec), prec)
+            total = mpi_add(total, mpi_mul(log_p, iv_from_fraction(c, prec), prec), prec)
         return from_iv(total)
 
     def __float__(self) -> float:

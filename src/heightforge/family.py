@@ -19,6 +19,7 @@ from typing import Iterator, Optional, Sequence
 from sympy import integer_nthroot
 
 from . import _polys
+from ._intervals import Interval, log_interval
 from ._polys import Coeffs
 from .arith import (
     LocalValue,
@@ -228,6 +229,11 @@ class _FiniteGreenData:
         # upper-bound constant in valuation units
         self.c_up = max([Fraction(0)] + [Fraction(-v) for v in self.vc if v is not None])
 
+    @cached_property
+    def log_p(self) -> Interval:
+        """Enclosure of log p."""
+        return log_interval(Fraction(self.p))
+
     def escape_value(self, vw: int, n: int) -> LocalValue:
         coeff = (Fraction(-vw) - Fraction(self.v_lead, self.d - 1)) / self.d**n
         return LocalValue.exact(coeff, self.p)
@@ -285,6 +291,16 @@ class SpecializedMap:
     def escape_radius(self) -> Fraction:
         """Beyond this |f(w)| >= gamma |w| with gamma > 1: the orbit escapes."""
         return max(Fraction(1), 2 * self.tail_sum, 2 / abs(self.cs[-1]))
+
+    @cached_property
+    def arch_log_terms(self) -> tuple[Interval, Interval]:
+        """Enclosures of C/(d-1) with C = log max(1, sum |c_i|), the growth
+        constant of the archimedean bounded exit, and of log|c_d|/(d-1), the
+        lead term of its escape exit."""
+        d = self.d
+        c_up = log_interval(max(Fraction(1), sum(abs(c) for c in self.cs)))
+        lead = log_interval(abs(self.cs[-1]))
+        return c_up.scale(Fraction(1, d - 1)), lead.scale(Fraction(1, d - 1))
 
     @cached_property
     def denominator_primes(self) -> tuple[int, ...]:

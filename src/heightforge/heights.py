@@ -39,23 +39,31 @@ At finite places the orbit is read from `SpecializedMap.orbit`, the one
 exact orbit of the package (with its repeat detection), while the rationals
 stay small, then carried on in windowed p-adic arithmetic with
 restart-on-precision-loss; both phases share one copy of the escape, disk,
-interval and budget exits.  The archimedean place iterates intervals,
-restarting at a higher precision on loss.
+interval and budget exits.  The archimedean place carries z_n as a libmp
+endpoint pair at an explicit working precision (Horner steps rounded
+outward), restarting at twice the precision once the relative width of
+|z_n| passes 1e-10.  Its exits read |z_n| as two mpf endpoints rounded to
+nearest at 53 bits (not outward; see ROADMAP item 2): the escape test against R_esc compares bit lengths and turns |z_n| into a
+(small) rational only inside R_esc's bit window, and T/|z_n|, log(1 -
+T/|z_n|) and log|z_n| are libmp operations with directed rounding.  So no
+rational of d^n bits is ever built, and a tol below the float resolution of
+G runs to the step budget in bounded memory.
 
 Filter, then certify.  The interval and escape exits above are certified
-with mpmath enclosures (a logarithm and a rational scaling each), yet on most
+with libmp enclosures (a logarithm and a rational scaling each), yet on most
 orbit steps they cannot fire: the bound is still far above tol.  Before each
 such enclosure both loops compute a cheap float lower bound on the value the
 enclosure would produce -- 2^k log p for the finite interval exit,
 (k log 2 + C/(d-1)) d^-n for the archimedean bounded exit and
 2^(k+1)/((d-1) d^n) for the archimedean escape width, each k read from bit
-lengths (a rational is never converted to a float, so nothing overflows),
-each float operation pushed one ulp down past its rounding, and d^-n a float
-power that underflows to 0.  When that bound exceeds tol the exit cannot
-fire and the enclosure is skipped.  The filter only skips: every value
-returned or reported (including a BudgetExceeded's best bound, which
-computes the skipped archimedean bounds it needs when it is raised) is the
-certified enclosure, identical to the unfiltered loop's.
+lengths: of a rational at finite places, and as exp + bc - 2 from an mpf's
+exponent and bit count at infinity (nothing is converted to a float, so
+nothing overflows), each float operation pushed one ulp down past its
+rounding, and d^-n a float power that underflows to 0.  When that bound
+exceeds tol the exit cannot fire and the enclosure is skipped.  The filter
+only skips: every value returned or reported (including a BudgetExceeded's
+best bound, which computes the skipped archimedean bounds it needs when it
+is raised) is the certified enclosure, identical to the unfiltered loop's.
 """
 from __future__ import annotations
 
@@ -66,6 +74,23 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Union
 
+from mpmath.libmp import (
+    fone,
+    from_rational,
+    mpf_div,
+    mpf_gt,
+    mpf_le,
+    mpf_pos,
+    mpf_sub,
+    mpi_abs,
+    mpi_add,
+    mpi_mul,
+    round_ceiling,
+    round_floor,
+    round_nearest,
+    to_rational,
+)
+
 from . import _polys
 from ._intervals import (
     DEFAULT_PREC,
@@ -73,10 +98,11 @@ from ._intervals import (
     _down,
     iv_from_fraction,
     iv_prec,
-    iv_to_fractions,
     log_interval,
+    log_iv,
     log_plus_interval,
     sum_intervals,
+    to_float53,
 )
 from ._padics import PAdic
 from .arith import (
@@ -96,7 +122,9 @@ DEFAULT_TOL = 1e-9
 _EXACT_BITS = 4096  # switch from exact rationals to windowed arithmetic
 _REL_PREC0 = 64  # initial p-adic relative precision (digits)
 _MAX_RESTARTS = 10
+_EXIT_PREC = DEFAULT_PREC  # archimedean exit roundings; restarts raise only the orbit's
 _LN2_LO = _down(math.log(2))  # a float <= log 2
+_K_CAP = 1 << 1000  # bit-length bounds past this are read as this
 
 __all__ = [
     "DEFAULT_TOL",
@@ -251,7 +279,7 @@ def _finite_green(
     fmap: SpecializedMap, p: int, z: Fraction, tol: float, budget: int
 ) -> GreenResult:
     cs, data = fmap.cs, fmap.green_data(p)
-    log_p = log_interval(Fraction(p))
+    log_p = data.log_p
 
     def exit_at(vw: Optional[int], n: int, repeat: bool = False) -> Optional[GreenResult]:
         """The exit that fires at z_n, where v(z_n) = vw (None: v = +infinity)
@@ -307,17 +335,41 @@ def _finite_green(
     )
 
 
+def _mpf_log2_floor(x) -> int:
+    """An integer k < log2 x for a raw mpf x > 0, read from its exponent and
+    bit count (x >= 2^(exp+bc-1)); the k `_log2_floor` reads from the same
+    number as a rational.  A zero gives -2."""
+    return x[2] + x[3] - 2
+
+
+def _mpf_exceeds(x, q: Fraction, q_bits: int) -> bool:
+    """x > q for a raw mpf x >= 0 and a rational q > 0 with
+    q_bits = bit_length(num q) - bit_length(den q), so that
+    2^(q_bits-1) < q < 2^(q_bits+1).  Bit lengths decide unless x's top bit
+    falls in that window; only then is x turned into a (small) rational."""
+    if not x[1]:
+        return False
+    top = x[2] + x[3]  # 2^(top-1) <= x < 2^top
+    if top - 1 > q_bits:
+        return True
+    if top < q_bits:
+        return False
+    return Fraction(*to_rational(x)) > q
+
+
 def _arch_green(fmap: SpecializedMap, z: Fraction, tol: float, budget: int) -> GreenResult:
     cs, d = fmap.cs, fmap.d
-    c_up = log_interval(max(Fraction(1), sum(abs(c) for c in cs)))
-    head = c_up.scale(Fraction(1, d - 1))
-    lead_term = log_interval(abs(cs[-1])).scale(Fraction(1, d - 1))
+    head, lead_term = fmap.arch_log_terms
+    radius = fmap.escape_radius
+    radius_bits = radius.numerator.bit_length() - radius.denominator.bit_length()
+    tail_hi = from_rational(fmap.tail_sum.numerator, fmap.tail_sum.denominator,
+                            _EXIT_PREC, round_ceiling)  # T, rounded up
     best_upper = math.inf
-    skipped: list[tuple[float, Fraction, int]] = []  # (filter bound, |z_n| hi, n)
+    skipped: list[tuple[float, tuple, int]] = []  # (filter bound, |z_n| hi, n)
 
-    def upper_at(az_hi: Fraction, n: int) -> float:
+    def upper_at(az_hi, n: int) -> float:
         """The bounded exit's certified upper bound on G from |z_n| <= az_hi."""
-        logplus_hi = 0.0 if az_hi <= 1 else log_interval(az_hi).hi
+        logplus_hi = 0.0 if mpf_le(az_hi, fone) else log_iv((az_hi, az_hi)).hi
         return (Interval(0.0, logplus_hi) + head).scale(Fraction(1, d**n)).hi
 
     def best() -> tuple[float, float]:
@@ -331,17 +383,23 @@ def _arch_green(fmap: SpecializedMap, z: Fraction, tol: float, budget: int) -> G
 
     prec = DEFAULT_PREC
     for _ in range(_MAX_RESTARTS):
-        with iv_prec(prec):
-            z_iv = iv_from_fraction(z)
-            cs_iv = [iv_from_fraction(c) for c in cs]
+        with iv_prec(prec) as wp:
+            z_iv = iv_from_fraction(z, wp)
+            # Horner's rule; adding a zero coefficient would only re-round an
+            # endpoint already at wp bits, so those additions are left out
+            cs_iv = [iv_from_fraction(c, wp) if c else None for c in cs]
             n = 0
             restart = False
             while n <= budget and not restart:
-                az_lo, az_hi = iv_to_fractions(abs(z_iv))  # |z_n| exactly
+                # |z_n| to nearest at 53 bits: not outward (ROADMAP item 2,
+                # "inward rounding of |z_n|"), kept so that results stay as pinned
+                a, b = mpi_abs(z_iv, wp)
+                az_lo, az_hi = mpf_pos(a, 53, round_nearest), mpf_pos(b, 53, round_nearest)
                 # a float <= d^-n; once it underflows to 0 no filter skips
                 decay = max(0.0, _down(_down(float(d) ** -n)))
-                # bounded exit; filter: log+ |z_n| >= k log 2
-                k = max(0, _log2_floor(az_hi))
+                # bounded exit; filter: log+ |z_n| >= k log 2 (k capped: a smaller k
+                # is still a lower bound, and k log 2 stays a finite float)
+                k = min(max(0, _mpf_log2_floor(az_hi)), _K_CAP)
                 lower = _down(_down(_down(k * _LN2_LO) + head.lo) * decay)
                 if lower > tol:
                     skipped.append((lower, az_hi, n))
@@ -351,29 +409,37 @@ def _arch_green(fmap: SpecializedMap, z: Fraction, tol: float, budget: int) -> G
                     if upper <= tol:
                         return GreenResult(Interval(0.0, upper), "interval", n)
                 # escape refinement
-                if az_lo > fmap.escape_radius:
-                    ratio = fmap.tail_sum / az_lo  # <= 1/2 in the escape region
+                if _mpf_exceeds(az_lo, radius, radius_bits):
+                    # >= T/|z_n|, rounded up; <= 1/2 in the escape region
+                    ratio = mpf_div(tail_hi, az_lo, _EXIT_PREC, round_ceiling)
                     # filter: width >= 2 eps / ((d-1) d^n), eps >= ratio > 2^j;
                     # T = 0 makes the enclosure exact at once, so it never skips
                     width_lo = (
-                        _down(_down(math.ldexp(2.0, _log2_floor(ratio)) / (d - 1)) * decay)
-                        if ratio
+                        _down(_down(math.ldexp(2.0, _mpf_log2_floor(ratio)) / (d - 1)) * decay)
+                        if ratio[1]
                         else 0.0
                     )
                     if width_lo <= tol:
-                        eps_hi = -log_interval(1 - ratio).lo
-                        log_az = Interval(log_interval(az_lo).lo, log_interval(az_hi).hi)
+                        one_minus = mpf_sub(fone, ratio, _EXIT_PREC, round_floor)
+                        eps_hi = -log_iv((one_minus, one_minus)).lo
                         tail = Interval(-eps_hi, eps_hi).scale(Fraction(1, d - 1))
-                        enc = (log_az + lead_term + tail).scale(Fraction(1, d**n))
+                        enc = log_iv((az_lo, az_hi)) + lead_term + tail
+                        enc = enc.scale(Fraction(1, d**n))
                         if enc.width <= tol:
                             return GreenResult(enc.clamp_nonneg(), "interval", n)
-                # precision health: relative width of |z_n|
-                if az_hi > 0 and float((az_hi - az_lo) / max(az_hi, Fraction(1))) > 1e-10:
-                    restart = True
-                    continue
+                # precision health: float((|z_n| hi - lo) / max(hi, 1)) > 1e-10;
+                # the difference is exact whenever the quotient is near 1e-10
+                if az_hi[1]:
+                    width = mpf_sub(az_hi, az_lo, _EXIT_PREC, round_ceiling)
+                    scale = az_hi if mpf_gt(az_hi, fone) else fone
+                    if to_float53(mpf_div(width, scale, 53, round_nearest)) > 1e-10:
+                        restart = True
+                        continue
                 acc = cs_iv[-1]
                 for c in reversed(cs_iv[:-1]):
-                    acc = acc * z_iv + c
+                    acc = mpi_mul(acc, z_iv, wp)
+                    if c is not None:
+                        acc = mpi_add(acc, c, wp)
                 z_iv = acc
                 n += 1
             if not restart:

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -316,13 +317,20 @@ def test_scan_composed_cover(capsys):
 # ---------------------------------------------------------------------------
 
 
-def _run_script(*argv, env_extra=None):
+def _run_script(*argv, env_extra=None, address_space=None):
+    """Run the CLI in a subprocess; `address_space` caps its memory (bytes),
+    so a runaway computation dies there and not in the test runner."""
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     return subprocess.run(
         [sys.executable, "-m", "heightforge.cli", *argv],
         capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=limit if address_space else None,
     )
 
 
@@ -346,6 +354,15 @@ def test_subprocess_exit_codes():
     small_box = ("scan", "--family", FAM2, "--t-bound", "0.8", "--z-bound", "0.8", "--t", "1")
     assert _run_script(*small_box).returncode == 0
     assert _run_script(*small_box, "--jobs", "0").returncode == 2
+    # tol below the float resolution of G on an escaping orbit: the escape exit
+    # cannot fire, and the orbit at infinity runs to its step budget in bounded
+    # memory (it once built exact rationals of d^n bits there)
+    for family, t, z, tol in ((FAM2, "1", "100", "1e-15"), (FAM4, "1", "-12", "5e-324")):
+        proc = _run_script("green", "--family", family, "--t", t, "--z", z, "--place", "inf",
+                           "--tol", tol, address_space=800 * 2**20)
+        assert proc.returncode == 3, proc.stderr
+        lo, hi = json.loads(proc.stdout)["error"]["best"]
+        assert lo == 0.0 and math.isfinite(hi)
 
 
 def test_repro_battery(capsys):

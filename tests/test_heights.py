@@ -264,6 +264,54 @@ def test_green_restart_exhaustion_reports_finite_best(monkeypatch):
     assert lo == 0.0 and math.isfinite(hi) and hi >= math.log(2)
 
 
+def test_green_budget_past_the_float_range_reports_finite_best():
+    # z^2 + 1 from 100 at a tol the escape exit cannot reach: past step ~1020
+    # log2 |z_n| exceeds the float range, and the loop still ends at its budget
+    with pytest.raises(BudgetExceeded) as ei:
+        local_green(Z2T, Fraction(1), INF, Fraction(100), tol=1e-15, budget=1030)
+    assert ei.value.steps == 1031
+    lo, hi = ei.value.best
+    assert lo == 0.0 and math.isfinite(hi) and hi >= math.log(100)
+
+
+def test_results_ignore_the_callers_mpmath_precision():
+    # the enclosures take their precision as an argument: mpmath's global mp.prec
+    # and iv.prec neither change a result nor are changed by the computation
+    import mpmath
+    from mpmath import iv
+
+    from heightforge._intervals import log_interval
+
+    def results():
+        out = [log_interval(Fraction(10**30 + 7, 3)), log_interval(Fraction(1, 3), 240),
+               Interval(0.1, 0.7).scale(Fraction(-22, 7)),
+               LogSum({2: Fraction(1, 3), 5: Fraction(-7, 2)}).enclosure(),
+               LogSum({3: Fraction(5), 7: Fraction(-2)}).enclosure(480)]
+        # z^2 + t at t = -2/3, z = 2 and z^3 + t at t = -1, z = 1/7 moved under
+        # workprec(400) while |z_n| was rounded at the global mp.prec
+        for fam, t, z in [(Z2T, "-2/3", "2"), (Z3T, "-1", "1/7"), (Z2T, "1/4", "3/2"),
+                          (Z3T, "-2/3", "1/7"), (Z6, "2/5", "7/3"), (NONMONIC, "-7/2", "1/5")]:
+            t, z = Fraction(t), Fraction(z)
+            for v in (INF, Place.finite(2)):
+                out.append(local_green(fam, t, v, z, tol=1e-9).to_json())
+            out.append(canonical_height(fam, t, z, tol=1e-9))
+        return out
+
+    mp_prec, iv_prec = mpmath.mp.prec, iv.prec
+    expected = results()
+    with mpmath.workprec(400):
+        assert results() == expected
+    with mpmath.workprec(30):
+        assert results() == expected
+    try:
+        iv.prec = 30
+        assert results() == expected
+        assert iv.prec == 30
+    finally:
+        iv.prec = iv_prec
+    assert (mpmath.mp.prec, iv.prec) == (mp_prec, iv_prec)
+
+
 # -- Green's function invariants ----------------------------------------------------
 
 
