@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from typing import Callable
 
 from .arith import INF, LogSum, Place, factor_integer
 from .constants import (
@@ -76,9 +77,11 @@ class CriterionFailed(Exception):
     """A criterion's failing sample, named in the message."""
 
 
-def _require(cond: bool, detail: str) -> None:
+def _require(cond: bool, detail: Callable[[], str]) -> None:
+    """Raise CriterionFailed(detail()) unless cond; the message is built only
+    on failure."""
     if not cond:
-        raise CriterionFailed(detail)
+        raise CriterionFailed(detail())
 
 
 # 1. functional equation hhat(f_t(z)) = d * hhat(z)
@@ -92,7 +95,8 @@ def functional_equation(samples: int = 200) -> str:
         h_fz = canonical_height(fam, t, specialized(fam, t)(z), 1e-9)
         h_z = canonical_height(fam, t, z, 1e-9)
         defect = abs(h_fz.mid - fam.d * h_z.mid)
-        _require(defect <= 3e-9, f"mid defect {defect:.2e} for {fam.describe()}, t = {t}, z = {z}")
+        _require(defect <= 3e-9,
+                 lambda: f"mid defect {defect:.2e} for {fam.describe()}, t = {t}, z = {z}")
         worst = max(worst, defect)
     return f"{samples} samples, worst mid defect {worst:.2e}"
 
@@ -103,9 +107,10 @@ def preperiodic_inventories(z_bound: float = math.log(50), samples: int = 1000) 
     for t, expected in INVENTORIES.items():
         report = scan(Z2T, 1.0, z_bound, t_values=[t])
         found = {f.z for f in report.findings}
-        _require(found == expected, f"t = {t}: scan found {sorted(map(str, found))}")
+        _require(found == expected, lambda: f"t = {t}: scan found {sorted(map(str, found))}")
         for f in report.findings:
-            _require(certify_point(Z2T, t, f.z).is_preperiodic, f"t = {t}, z = {f.z} not certified")
+            _require(certify_point(Z2T, t, f.z).is_preperiodic,
+                     lambda: f"t = {t}, z = {f.z} not certified")
     # (b) other rational points certify as wandering with a positive bound
     rng = random.Random(202)
     params = sorted(INVENTORIES)
@@ -120,7 +125,7 @@ def preperiodic_inventories(z_bound: float = math.log(50), samples: int = 1000) 
         if cert.is_preperiodic or not cert.hhat_lower_bound > 0:
             misclassified += 1
             first = first or f", first at t = {t}, z = {z}"
-    _require(misclassified == 0, f"{misclassified} misclassifications{first}")
+    _require(misclassified == 0, lambda: f"{misclassified} misclassifications{first}")
     return (f"{len(INVENTORIES)} inventories exact, {samples} wandering certificates, "
             "0 misclassifications")
 
@@ -140,10 +145,14 @@ def escape_lower_bound(samples: int = 1000) -> str:
         z = rng.choice([Fraction(0), Fraction(rng.randint(-20, 20)),
                         Fraction(rng.randint(1, 20), p)])
         res = local_green(fam, t, Place.finite(p), z)
-        sample = f"{fam.describe()}, t = {t}, p = {p}, z = {z}"
-        _require(res.mode == "exact-escape", f"mode {res.mode} at {sample}")
+
+        def sample() -> str:
+            return f"{fam.describe()}, t = {t}, p = {p}, z = {z}"
+
+        _require(res.mode == "exact-escape", lambda: f"mode {res.mode} at {sample()}")
         # exact rational comparison: G = coeff * log p >= (k/d) log p
-        _require(res.value.coeff >= Fraction(k, fam.d), f"G = {res.value.coeff} log p at {sample}")
+        _require(res.value.coeff >= Fraction(k, fam.d),
+                 lambda: f"G = {res.value.coeff} log p at {sample()}")
         checked += 1
     return f"{samples} exact escape lower bounds, all rational comparisons hold"
 
@@ -155,8 +164,8 @@ def obstruction_scan(n_max: int = 500, z_bound: float = math.log(100)) -> str:
         if not _is_squarefree(n):
             continue
         report = scan(Z2T, 1.0, z_bound, t_values=[Fraction(1, n)])
-        _require(report.findings == (), f"t = 1/{n}: {len(report.findings)} findings")
-        _require(report.t_obstructed == 1, f"t = 1/{n} not obstructed")
+        _require(report.findings == (), lambda: f"t = 1/{n}: {len(report.findings)} findings")
+        _require(report.t_obstructed == 1, lambda: f"t = 1/{n} not obstructed")
         n_scanned += 1
     return f"{n_scanned} squarefree parameters scanned, 0 findings"
 
@@ -184,7 +193,7 @@ def goodred_pairing_floor(samples: int = 10_000) -> str:
         bound = bound + log2_at(v)
         g = arakelov_green(fam, t, v, x, y, tol=1e-7)
         _require(g.hi >= -bound.enclosure().hi - 1e-9,
-                 f"g <= {g.hi:.3e} for {fam.describe()} at {v}, t = {t}, x = {x}, y = {y}")
+                 lambda: f"g <= {g.hi:.3e} for {fam.describe()} at {v}, t = {t}, x = {x}, y = {y}")
         checked += 1
     return f"{samples} pairings above the good-reduction floor (slack 1e-9)"
 
@@ -193,12 +202,13 @@ def goodred_pairing_floor(samples: int = 10_000) -> str:
 def resultant_bound(samples: int = 1000) -> str:
     eq = resultant_bound_check(Z2T, Fraction(1, 3))
     _require(eq.ok and eq.lhs == eq.rhs == LogSum({3: Fraction(4)}),  # both sides 4 log 3
-             f"t = 1/3: lhs {eq.lhs}, rhs {eq.rhs}")
+             lambda: f"t = 1/3: lhs {eq.lhs}, rhs {eq.rhs}")
     rng = random.Random(606)
     for _ in range(samples):
         fam = rng.choice(FAMILIES)
         t = _rand_fraction(rng, 50, 50, nonzero=True)
-        _require(resultant_bound_check(fam, t).ok, f"bound fails for {fam.describe()}, t = {t}")
+        _require(resultant_bound_check(fam, t).ok,
+                 lambda: f"bound fails for {fam.describe()}, t = {t}")
     return f"{samples} resultant bounds hold, equality 4·log3 witnessed at t = 1/3"
 
 
@@ -206,8 +216,8 @@ def resultant_bound(samples: int = 1000) -> str:
 def uniform_height_floor(samples: int = 1000) -> str:
     quartic = build_family([1, 0, 1], 2)  # d = 4, e = 2
     rep = theorem1_constants(quartic, 1)
-    _require(rep.status == "ok", f"constants status {rep.status}")
-    _require(rep.orbit_bound == 72, f"orbit bound {rep.orbit_bound}")  # 2 * (4+2)^2
+    _require(rep.status == "ok", lambda: f"constants status {rep.status}")
+    _require(rep.orbit_bound == 72, lambda: f"orbit bound {rep.orbit_bound}")  # 2 * (4+2)^2
     eps, c_const = rep.epsilon.as_float(), rep.C_float()
     rng = random.Random(707)
     checked = violations = 0
@@ -225,7 +235,7 @@ def uniform_height_floor(samples: int = 1000) -> str:
             violations += 1
             first = first or f", first at t = {t}, z = {z}"
         checked += 1
-    _require(violations == 0, f"{violations} violations{first}")
+    _require(violations == 0, lambda: f"{violations} violations{first}")
     return f"{samples} wandering samples, eps = {eps:.2e}, C = {c_const:.2e}, 0 violations"
 
 
@@ -234,17 +244,18 @@ def composed_scan(t_bound: float = math.log(50), z_bound: float = math.log(100),
                   samples: int = 500) -> str:
     cover = analyze_cover([1], [1, 0, 0, 0, 1])
     report = scan(Z2T, t_bound, z_bound, cover=cover)
-    _require(report.findings == (), f"{len(report.findings)} findings")
-    _require(report.complete, f"{len(report.unresolved)} unresolved")
+    _require(report.findings == (), lambda: f"{len(report.findings)} findings")
+    _require(report.complete, lambda: f"{len(report.unresolved)} unresolved")
     # the power criterion refused every parameter except t = 0
     _require(report.t_filtered_criterion == report.t_examined - 1,
-             f"criterion filtered {report.t_filtered_criterion} of {report.t_examined}")
+             lambda: f"criterion filtered {report.t_filtered_criterion} of {report.t_examined}")
     rng = random.Random(808)
     for _ in range(samples):
         x, y = rng.randint(-50, 50), rng.randint(1, 50)
         if x == 0:
             continue
-        _require(power_criterion(2, 4, Fraction(x, y)).solvable is False, f"t = {x}/{y} solvable")
+        _require(power_criterion(2, 4, Fraction(x, y)).solvable is False,
+                 lambda: f"t = {x}/{y} solvable")
     return (f"{report.t_examined} parameters |x|,|y| <= {math.exp(t_bound):.0f}, 0 findings, "
             f"criterion filtered {report.t_filtered_criterion}")
 
@@ -252,12 +263,12 @@ def composed_scan(t_bound: float = math.log(50), z_bound: float = math.log(100),
 # 9. e-generality table on the cover fixture suite
 def e_general_table() -> str:
     for e, count in [(2, 5), (3, 4), (4, 3), (5, 3), (6, 3), (7, 3), (11, 3)]:
-        _require(required_pole_count(e) == count, f"required_pole_count({e})")
+        _require(required_pole_count(e) == count, lambda: f"required_pole_count({e})")
     n_checks = 0
     for name, (numer, denom, table) in COVER_FIXTURES.items():
         cov = analyze_cover(numer, denom)
         for e, expected in table.items():
-            _require(is_e_general(cov, e).ok is expected, f"{name} at e = {e}")
+            _require(is_e_general(cov, e).ok is expected, lambda: f"{name} at e = {e}")
             n_checks += 1
     return f"{len(COVER_FIXTURES)} covers, {n_checks} table entries match"
 
@@ -271,7 +282,7 @@ def local_global_overlap(samples: int = 500, rng: random.Random | None = None) -
         z = _rand_fraction(rng, 8, 6)
         h_local = canonical_height(fam, t, z, 0.05)
         h_global = canonical_height(fam, t, z, 0.2, method="global")
-        _require(h_local.overlaps(h_global), f"{fam.describe()}, t = {t}, z = {z}")
+        _require(h_local.overlaps(h_global), lambda: f"{fam.describe()}, t = {t}, z = {z}")
     return f"{samples} local-global overlaps"
 
 

@@ -228,24 +228,6 @@ def discriminant(f: Coeffs) -> Fraction:
     return sign * resultant(f, derivative(f), n, n - 1) / f[-1]
 
 
-def solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a nonsingular square system exactly."""
-    n = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise DomainError("singular system")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [c * inv for c in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [cr - factor * cc for cr, cc in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # certified root bounds for squarefree integer polynomials
 # ---------------------------------------------------------------------------

@@ -177,13 +177,21 @@ def factor_integer(n: int) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
+def factor_rational(q: Fraction) -> dict[int, int]:
+    """{p: v_p(q)} over the primes dividing q != 0, sorted by p: positive
+    exponents from the numerator, negative ones from the denominator."""
+    q = Fraction(q)
+    out = factor_integer(q.numerator)
+    out.update((p, -k) for p, k in factor_integer(q.denominator).items())
+    return dict(sorted(out.items()))
+
+
 def support(q: Fraction) -> list[int]:
     """Sorted primes dividing the numerator or denominator of q != 0."""
     q = Fraction(q)
     if q == 0:
         raise DomainError("support of 0 is undefined")
-    primes = set(factor_integer(q.numerator)) | set(factor_integer(q.denominator))
-    return sorted(primes)
+    return list(factor_rational(q))
 
 
 # ---------------------------------------------------------------------------
@@ -415,18 +423,13 @@ def log_rational_exact(r: Fraction) -> LogSum:
     r = Fraction(r)
     if r <= 0:
         raise DomainError("log of a nonpositive rational")
-    if r == 1:
-        return LogSum.zero()
-    return LogSum({p: Fraction(padic_valuation(r, p)) for p in support(r)})
+    return LogSum(factor_rational(r))
 
 
-def naive_height_exact(q: Fraction) -> LogSum:
-    """Naive height h(q) = log max(|num|, den), as an exact LogSum."""
+def naive_height(q: Fraction) -> LogSum:
+    """h(x/y) = log max(|x|, |y|) for coprime x, y, as an exact LogSum."""
     q = Fraction(q)
-    m = max(abs(q.numerator), q.denominator)
-    if m == 1:
-        return LogSum.zero()
-    return LogSum({p: Fraction(k) for p, k in factor_integer(m).items()})
+    return LogSum(factor_integer(max(abs(q.numerator), q.denominator)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,10 @@ from .arith import (
     INF,
     LogSum,
     Place,
+    factor_rational,
     format_rational,
     log_rational_exact,
-    naive_height_exact,
-    padic_valuation,
-    support,
+    naive_height,
 )
 from .errors import DomainError
 from .family import Family, specialized
@@ -178,12 +177,11 @@ def mk_mvt(fam: Family) -> MKConstants:
     n = _polys.degree(g)
     a_max = Fraction(max(mult for _, mult in fam.factors))
     pairs = Fraction(n * (n - 1), 2)
-    disc = _polys.discriminant(g)
-    candidates = set(support(disc)) | set(fam.coefficient_support)
+    disc_vals = factor_rational(_polys.discriminant(g))
     finite: dict[int, Fraction] = {}
-    for p in sorted(candidates):
+    for p in sorted(set(disc_vals) | set(fam.coefficient_support)):
         coeff = a_max * (
-            Fraction(padic_valuation(disc, p), 2) + pairs * fam.amax(p) / fam.e
+            Fraction(disc_vals.get(p, 0), 2) + pairs * fam.amax(p) / fam.e
         )
         coeff = max(Fraction(0), coeff)
         if coeff:
@@ -451,15 +449,15 @@ class ResultantBound:
 def resultant_bound_check(fam: Family, t: Fraction) -> ResultantBound:
     """Exact check that log|Res| <= (2d^2/e) h(t) + 2d h(a_D), decided by
     integer arithmetic (both sides are exact log sums).  log|Res| is read
-    from Res = M^{2d} a_D^d and the primes of M, so Res is never factored."""
+    from Res = M^{2d} a_D^d and the factorization of M, so Res is never
+    factored."""
     t = Fraction(t)
     fmap = specialized(fam, t)
     d, e = fam.d, fam.e
-    m_clear = fmap.integral_model[1]
     lhs = LogSum(
-        {p: Fraction(2 * d * padic_valuation(m_clear, p)) for p in fmap.denominator_primes}
+        {p: Fraction(2 * d * k) for p, k in fmap.denominator_factors.items()}
     ) + log_rational_exact(abs(fam.lead)).scale(Fraction(d))
-    rhs = naive_height_exact(t).scale(Fraction(2 * d * d, e)) + naive_height_exact(
+    rhs = naive_height(t).scale(Fraction(2 * d * d, e)) + naive_height(
         fam.lead
     ).scale(Fraction(2 * d))
     ok = lhs.compare(rhs) <= 0

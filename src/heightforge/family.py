@@ -23,6 +23,7 @@ from ._intervals import Interval, log_interval
 from ._polys import Coeffs
 from .arith import (
     LocalValue,
+    factor_integer,
     format_rational,
     newton_polygon,
     parse_rational,
@@ -50,6 +51,14 @@ class Family:
 
     e: int
     form: tuple[Fraction, ...]
+
+    def __hash__(self) -> int:
+        # the dataclass hash of (e, form), computed once: every `specialized`,
+        # `mk_a` and `mk_b` cache lookup hashes the family
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.e, self.form))
+        return h
 
     # -- shape -------------------------------------------------------------
 
@@ -303,9 +312,14 @@ class SpecializedMap:
         return c_up.scale(Fraction(1, d - 1)), lead.scale(Fraction(1, d - 1))
 
     @cached_property
+    def denominator_factors(self) -> dict[int, int]:
+        """The factorization {p: v_p(M)} of M, sorted by p."""
+        return factor_integer(self.integral_model[1])
+
+    @cached_property
     def denominator_primes(self) -> tuple[int, ...]:
         """Sorted primes dividing some coefficient's denominator, i.e. M."""
-        return tuple(support(Fraction(self.integral_model[1])))
+        return tuple(self.denominator_factors)
 
     def bad_primes(self, z: Fraction) -> tuple[int, ...]:
         """The sorted primes of M and of den z: the only primes at which the
@@ -318,7 +332,7 @@ class SpecializedMap:
                 rest //= p
         if rest == 1:
             return self.denominator_primes
-        return tuple(sorted(self.denominator_primes + tuple(support(Fraction(rest)))))
+        return tuple(sorted(self.denominator_primes + tuple(factor_integer(rest))))
 
     @cached_property
     def orbit_cutoff(self) -> float:

@@ -42,12 +42,12 @@ restart-on-precision-loss; both phases share one copy of the escape, disk,
 interval and budget exits.  The archimedean place carries z_n as a libmp
 endpoint pair at an explicit working precision (Horner steps rounded
 outward), restarting at twice the precision once the relative width of
-|z_n| passes 1e-10.  Its exits read |z_n| as two mpf endpoints rounded to
-nearest at 53 bits (not outward; see ROADMAP item 2): the escape test against R_esc compares bit lengths and turns |z_n| into a
-(small) rational only inside R_esc's bit window, and T/|z_n|, log(1 -
-T/|z_n|) and log|z_n| are libmp operations with directed rounding.  So no
-rational of d^n bits is ever built, and a tol below the float resolution of
-G runs to the step budget in bounded memory.
+|z_n| passes 1e-10.  Its exits read |z_n| as two mpf endpoints rounded
+outward to 53 bits: the escape test against R_esc compares bit lengths and
+turns |z_n| into a (small) rational only inside R_esc's bit window, and
+T/|z_n|, log(1 - T/|z_n|) and log|z_n| are libmp operations with directed
+rounding.  So no rational of d^n bits is ever built, and a tol below the
+float resolution of G runs to the step budget in bounded memory.
 
 Filter, then certify.  The interval and escape exits above are certified
 with libmp enclosures (a logarithm and a rational scaling each), yet on most
@@ -110,9 +110,10 @@ from .arith import (
     LocalValue,
     LogSum,
     Place,
-    naive_height_exact,
+    factor_integer,
+    factor_rational,
+    naive_height,
     padic_valuation,
-    support,
     vp_or_none,
 )
 from .errors import BudgetExceeded, DomainError, PrecisionLoss
@@ -142,13 +143,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# naive height
+# naive height enclosures
 # ---------------------------------------------------------------------------
-
-
-def naive_height(q: Fraction) -> LogSum:
-    """h(x/y) = log max(|x|, |y|) for coprime x, y, as an exact log sum."""
-    return naive_height_exact(Fraction(q))
 
 
 def _log_int_interval(n: int) -> Interval:
@@ -178,30 +174,6 @@ def _naive_height_interval(q: Fraction) -> Interval:
 # ---------------------------------------------------------------------------
 
 
-def _bezout_data(Fc: list[Fraction], Gc: list[Fraction], d: int):
-    """Solve A(x) F(x) + B(x) G(x) = det with deg A, deg B <= d - 1.
-
-    The 2d x 2d system is built directly from polynomial multiplication
-    (rows = monomials x^0 .. x^{2d-1}, columns = unknown coefficients), so
-    there is no Sylvester-orientation bookkeeping.  Returns (K, |det|) with
-    K = max |cofactor coefficient| after scaling the solution by det.
-    """
-    size = 2 * d
-    M = [[Fraction(0)] * size for _ in range(size)]
-    for j in range(d):
-        for r in range(size):
-            if 0 <= r - j < len(Fc):
-                M[r][j] = Fc[r - j]
-            if 0 <= r - j < len(Gc):
-                M[r][d + j] = Gc[r - j]
-    det = _polys.det_exact(M)
-    if det == 0:
-        raise DomainError("degenerate specialized map (zero resultant)")
-    rhs = [det] + [Fraction(0)] * (size - 1)
-    u = _polys.solve_exact(M, rhs)
-    return max(abs(x) for x in u), abs(det)
-
-
 @lru_cache(maxsize=256)
 def height_defect_bound(fam: Family, t: Fraction) -> float:
     """A constant C_f >= 0 with |h(f_t(w)) - d h(w)| <= C_f for all rational w.
@@ -210,21 +182,36 @@ def height_defect_bound(fam: Family, t: Fraction) -> float:
     multiplier L, |N(x,y)| <= (sum |C_i|) max(|x|,|y|)^d and the denominator
     form is L y^d, so h(f(w)) <= d h(w) + log max(sum|C_i|, L).
 
-    Lower direction: two Bezout identities A N + B (L y^d) = R y^{2d-1} and
-    (reversed) = R' x^{2d-1} give max(|N|, L|y|^d) >= |R| H^d / (2 d K), and
-    the gcd of numerator and denominator divides R R', so
-    h(f(w)) >= d h(w) - log(2 d min(K |R'|, K' |R|)) - nothing else.
+    Lower direction: with R = L^d |C_d|^d (the resultant of N and L y^d up to
+    sign; C_d = L a_D != 0), two Bezout identities A N + B (L y^d) = R y^{2d-1}
+    and = R x^{2d-1}, with A, B forms of degree d - 1, have closed forms:
+
+    * the first is (R/L) y^{d-1} (L y^d) = R y^{2d-1}: A = 0, B = R/L, so its
+      largest cofactor coefficient is K1 = R/L;
+    * the second, written in u = y/x with the reversed polynomial
+      C*(u) = sum_i C_{d-i} u^i (C*(0) = C_d), needs A C* = R mod u^d, so
+      A = R / C* mod u^d is a power-series inverse, and then
+      B_k = -(A C*)_{d+k} / L for k < d; K2 is the largest |A_j|, |B_k|.
+
+    With H = max(|x|,|y|), the first identity applies where |y| = H and the
+    second where |x| = H; each gives max(|N|, L|y|^d) >= R H^d / (2 d K) for
+    its cofactor size K.  The gcd of numerator and denominator divides L R
+    (L times the second identity has integer cofactors), which divides R^2.
+    The constant below charges log(2 d R min(K1, K2)); this argument
+    supports max(K1, K2) only (ROADMAP, "height-defect constant").
     """
     C, L = specialized(fam, t).integral_model  # integer coefficients
     d = fam.d
     if L == 1 and abs(C[-1]) == 1 and all(c == 0 for c in C[:-1]):
         return 0.0  # pure +-z^d: h(f(w)) = d h(w) exactly
     upper_arg = max(sum(abs(c) for c in C), Fraction(L))
-    K1, R1 = _bezout_data(list(C), [Fraction(L)], d)
-    rev = list(reversed(C))
-    Gstar = [Fraction(0)] * d + [Fraction(L)]
-    K2, R2 = _bezout_data(rev, Gstar, d)
-    lower_arg = 2 * d * min(K1 * R2, K2 * R1)
+    R = (L * abs(C[-1])) ** d
+    rev = C[::-1]  # C*
+    A = [R / rev[0]]
+    for k in range(1, d):
+        A.append(-sum(rev[i] * A[k - i] for i in range(1, k + 1)) / rev[0])
+    B = [-sum(A[i] * rev[d + k - i] for i in range(k, d)) / L for k in range(d)]
+    lower_arg = 2 * d * R * min(R / L, max(abs(c) for c in A + B))
     return log_interval(max(upper_arg, lower_arg, Fraction(1))).hi
 
 
@@ -391,10 +378,9 @@ def _arch_green(fmap: SpecializedMap, z: Fraction, tol: float, budget: int) -> G
             n = 0
             restart = False
             while n <= budget and not restart:
-                # |z_n| to nearest at 53 bits: not outward (ROADMAP item 2,
-                # "inward rounding of |z_n|"), kept so that results stay as pinned
+                # |z_n| rounded outward to 53 bits
                 a, b = mpi_abs(z_iv, wp)
-                az_lo, az_hi = mpf_pos(a, 53, round_nearest), mpf_pos(b, 53, round_nearest)
+                az_lo, az_hi = mpf_pos(a, 53, round_floor), mpf_pos(b, 53, round_ceiling)
                 # a float <= d^-n; once it underflows to 0 no filter skips
                 decay = max(0.0, _down(_down(float(d) ** -n)))
                 # bounded exit; filter: log+ |z_n| >= k log 2 (k capped: a smaller k
@@ -633,7 +619,7 @@ def conductor_count(a, S: Iterable[Place], t: Fraction) -> LogSum:
     if s is None:
         return out
     # v_p(s) > 0 exactly for p dividing the numerator of s
-    for p in support(Fraction(abs(s.numerator))):
+    for p in factor_integer(s.numerator):
         if p not in excluded:
             out = out + LogSum.single(Fraction(1), p)
     return out
@@ -661,8 +647,7 @@ def l1_l2_split(
         val = _polys.evaluate(q, t) / q[-1]  # monic product over conjugates
         if val == 0:
             raise DomainError("t coincides with a pole of the cover")
-        for p in support(val):
-            vp = padic_valuation(val, p)
+        for p, vp in factor_rational(val).items():
             if vp <= 0 or p in excluded:
                 continue
             if vp % e:

@@ -49,7 +49,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 from sympy import integer_nthroot
 
 from . import _polys
-from .arith import INF, Place, format_rational, padic_valuation, support, vp_or_none
+from .arith import INF, Place, factor_integer, format_rational, vp_or_none
 from .constants import exceptional_places
 from .errors import BudgetExceeded, DomainError
 from .family import CoverAnalysis, Family, SpecializedMap, specialized
@@ -372,10 +372,10 @@ def bad_place_obstruction(fam: Family, t: Fraction) -> list[ObstructionRecord]:
         return []
     exceptional = {pl.prime for pl in exceptional_places(fam) if not pl.is_archimedean}
     out = []
-    for p in sorted(support(Fraction(t.denominator))):
+    for p, m in factor_integer(t.denominator).items():
         if p in exceptional:
             continue
-        k = padic_valuation(t, p)  # < 0 since p divides the denominator
+        k = -m  # v_p(t) < 0 since p divides the denominator
         if k % fam.e != 0:
             out.append(
                 ObstructionRecord(
@@ -456,10 +456,10 @@ def find_nonpower_place(
     if val == 0:
         raise DomainError("phi(t) = 0 has no negative valuations")
     excluded = {pl.prime for pl in S if not pl.is_archimedean}
-    for p in sorted(support(Fraction(val.denominator))):
+    for p, m in factor_integer(val.denominator).items():  # v_p(val) = -m
         if p in excluded:
             continue
-        if padic_valuation(val, p) % e != 0:
+        if m % e != 0:
             return Place.finite(p)
     return None
 

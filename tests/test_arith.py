@@ -13,6 +13,7 @@ from heightforge.arith import (
     LogSum,
     Place,
     factor_integer,
+    factor_rational,
     format_rational,
     is_prime,
     log_plus,
@@ -79,6 +80,22 @@ def test_factor_integer_edge_cases():
     with pytest.raises(DomainError):
         factor_integer(0)
     assert factor_integer(-12) == {2: 2, 3: 1}
+
+
+def test_factor_rational_matches_sympy():
+    rng = random.Random(304)
+    p, q = 100000007, 998244353
+    samples = [Fraction(1), Fraction(-1), Fraction(-12), Fraction(6, 35), Fraction(-81, (p * q) ** 2)]
+    for _ in range(100):
+        den = 1 if rng.random() < 0.3 else rng.randint(1, 10**12)  # integers too
+        samples.append(Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**12), den))
+    for r in samples:
+        mine = factor_rational(r)
+        ref = sympy.factorrat(sympy.Rational(r.numerator, r.denominator))
+        assert mine == {p: k for p, k in ref.items() if p != -1}
+        assert list(mine) == sorted(mine) and support(r) == list(mine)
+    with pytest.raises(DomainError):
+        factor_rational(Fraction(0))
 
 
 def test_support():

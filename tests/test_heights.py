@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from heightforge.arith import INF, LocalValue, LogSum, Place, padic_valuation, support
 from heightforge.constants import exceptional_places, mk_a, mk_b
@@ -11,7 +12,7 @@ from heightforge.errors import BudgetExceeded, DomainError
 from heightforge.family import analyze_cover, build_family, specialize
 from heightforge import _polys as P
 from heightforge import heights as H
-from heightforge._intervals import Interval
+from heightforge._intervals import Interval, log_interval
 from heightforge.heights import (
     GreenResult,
     Infinity,
@@ -58,6 +59,45 @@ def test_defect_pure_power():
     assert height_defect_bound(build_family([-1, 0, 1], 2), Fraction(0)) == 0.0
     # the per-parameter cache must not grow for the life of the process
     assert height_defect_bound.cache_info().maxsize is not None
+
+
+def _sympy_defect_bound(fam, t) -> float:
+    """height_defect_bound from the two Bezout systems A F + B G = det,
+    deg A, deg B < d, each built from polynomial products and solved by sympy:
+    (F, G) = (sum C_i x^i, L) and its reversal (sum C_(d-i) x^i, L x^d)."""
+    C, L = P.clear_denominators(specialize(fam, t))
+    d, x = fam.d, sympy.Symbol("x")
+
+    def bezout(F, G):
+        cols = [sympy.Poly(x**j * H, x) for H in (F, G) for j in range(d)]
+        M = sympy.Matrix(2 * d, 2 * d, lambda r, c: cols[c].coeff_monomial(x**r))
+        det = M.det()
+        u = M.LUsolve(sympy.Matrix([det] + [0] * (2 * d - 1)))
+        return max(abs(v) for v in u), abs(det)
+
+    Cs = [sympy.Integer(int(c)) for c in C]
+    K1, R1 = bezout(sum(c * x**i for i, c in enumerate(Cs)), sympy.Integer(L))
+    K2, R2 = bezout(sum(c * x**i for i, c in enumerate(reversed(Cs))), L * x**d)
+    arg = max(sum(abs(c) for c in Cs), L, 2 * d * min(K1 * R2, K2 * R1), 1)
+    return log_interval(Fraction(int(arg.p), int(arg.q))).hi
+
+
+def test_defect_closed_form_matches_sympy_bezout():
+    rng = random.Random(5002)
+    pairs = [(build_family(form, e), Fraction(t))
+             for form, e in [([1, 1], 3), ([2, 1], 2), ([1, -81], 2), ([-3, 1], 3),
+                             ([1, 0, 81], 2), (["1/2", "-3", "2/9"], 2), ([1, -3, 1], 3)]
+             for t in ["1", "-1", "1/3", "-2/3", "81", "7/81"]]
+    pairs += [(build_family([2, 5], 2), Fraction(0)), (build_family(["-1/3", 1], 3), Fraction(0))]
+    for _ in range(20):
+        D = rng.choice([1, 2])
+        form = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))]
+        form += [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(D - 1)]
+        form += [Fraction(rng.choice([-9, -2, -1, 1, 3, 81]), rng.randint(1, 4))]
+        pairs.append((build_family(form, rng.choice([2, 3])),
+                      Fraction(rng.randint(-30, 30), rng.randint(1, 30))))
+    for fam, t in pairs:
+        assert height_defect_bound(fam, t) == _sympy_defect_bound(fam, t), (fam, t)
 
 
 def test_defect_z2_minus_1_exhaustive():
@@ -203,7 +243,9 @@ GREEN_PINS = [
     (Z2T, "-2", "inf", "1/3", 0.0008111028433864355, None, {"value_lo": 0.0, "value_hi": 0.0008111028433864355, "mode": "interval", "place": None, "steps": 11}),
     (Z2T, "1/4", "inf", "3/2", 1.7299840869511307e-05, None, {"value_lo": 0.4686880094912962, "value_hi": 0.4687053093321657, "mode": "interval", "place": None, "steps": 4}),
     (Z2T, "1", "inf", "100", 9.999500034041375e-05, None, {"value_lo": 4.605170185988088, "value_hi": 4.605270180988429, "mode": "interval", "place": None, "steps": 1}),
-    (Z3T, "-2/3", "inf", "1/7", 3.2463458567288245e-05, None, {"value_lo": 0.018258709088827228, "value_hi": 0.018291172547394517, "mode": "interval", "place": None, "steps": 5}),
+    (Z3T, "-2/3", "inf", "1/7", 3.2463458567291714e-05, None, {"value_lo": 0.018258709088827225, "value_hi": 0.018291172547394517, "mode": "interval", "place": None, "steps": 5}),
+    # a tol 512 ulps below that escape width: the exit waits one step
+    (Z3T, "-2/3", "inf", "1/7", 3.2463458567288245e-05, None, {"value_lo": 0.01827494156678415, "value_hi": 0.01827494306413075, "mode": "interval", "place": None, "steps": 6}),
     (Z2T, "1/4", "2", "3/2", 0.0005076761576366789, None, {"value_lo": 0.0, "value_hi": 0.0005076761576366789, "mode": "interval", "place": None, "steps": 12}),
     (Z2T, "1", "2", "1/2", 1e-09, None, {"value_lo": 0.6931471805599451, "value_hi": 0.6931471805599455, "mode": "exact-escape", "place": None, "steps": 0, "exact": {"coeff": "1", "prime": 2}}),
     (Z2T, "1", "2", "3", 1e-09, None, {"value_lo": 0.0, "value_hi": 0.0, "mode": "exact-bounded", "place": None, "steps": 0, "exact": {"coeff": "0", "prime": 2}}),

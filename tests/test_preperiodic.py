@@ -2,6 +2,7 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -173,20 +174,30 @@ def test_orbit_cutoff_matches_midpoint_test():
                 assert err <= (b + 1) * preperiodic._MID_ERROR_PER_BIT / 16, (b, n)
 
 
+def _count_factorings(monkeypatch) -> list[int]:
+    """Record every factor_integer call, wherever heightforge binds the name."""
+    factored = []
+    factor_integer = arith.factor_integer
+
+    def counted(n):
+        factored.append(n)
+        return factor_integer(n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("heightforge") and getattr(module, "factor_integer", None) is factor_integer:
+            monkeypatch.setattr(module, "factor_integer", counted)
+    return factored
+
+
 def test_orbit_cutoff_computes_no_log_outside_the_windows(monkeypatch):
-    calls, factored = [], []
+    calls = []
 
     def counted(w):
         calls.append(w)
         return _naive_height_interval(w)
 
-    def counted_support(q):
-        factored.append(q)
-        return support(q)
-
     monkeypatch.setattr(preperiodic, "_naive_height_interval", counted)
-    monkeypatch.setattr(family, "support", counted_support)
-    specialized(Z2T, Fraction(1, 4)).denominator_primes  # factored once per map
+    factored = _count_factorings(monkeypatch)
     # 10 lies in the 15-bit window; the orbit 0, 1, 2, 5, 26, 677, ... skips it
     for cutoff, event in ((10.0, EscapeCertified(INF, 6)), (-math.inf, EscapeCertified(INF, 3)),
                           (math.inf, OrbitTruncated(20)), (math.nan, OrbitTruncated(20))):
@@ -200,7 +211,10 @@ def test_orbit_cutoff_computes_no_log_outside_the_windows(monkeypatch):
         assert len(calls) == len(rec.points) == len(heights)
         assert rec.naive_heights is heights and len(calls) == len(rec.points)
         calls.clear()
-    # den z = 2 holds only the prime 2 of M = 4 for z^2 + 1/4: nothing to factor
+    # den z = 2 holds only the prime 2 of M = 4 for z^2 + 1/4: once M is
+    # factored (once per map), nothing more is factored
+    specialized(Z2T, Fraction(1, 4)).denominator_primes
+    factored.clear()
     rec = iterate_orbit(Z2T, Fraction(1, 4), Fraction(3, 2), 40)
     assert rec.event == EscapeCertified(INF, 6) and factored == []
 
@@ -216,12 +230,12 @@ def test_orbit_prime_set_finds_the_same_escape_place(fam, t, z):
     fmap.denominator_primes  # cached per map, not per orbit
     factored = []
 
-    def counted(q):
-        factored.append(q)
-        return support(q)
+    def counted(n):
+        factored.append(n)
+        return original(n)
 
-    original = family.support
-    family.support = counted
+    original = family.factor_integer
+    family.factor_integer = counted
     try:
         # the cutoff passes at every point: at most one factoring per orbit
         rec = iterate_orbit(fam, t, z, 5, height_cutoff=-math.inf)
@@ -231,7 +245,7 @@ def test_orbit_prime_set_finds_the_same_escape_place(fam, t, z):
         assert len(factored) <= 1
         primes = fmap.bad_primes(z)
     finally:
-        family.support = original
+        family.factor_integer = original
     assert primes == tuple(sorted(
         set(support(Fraction(z.denominator))) | set(support(Fraction(fmap.integral_model[1])))
     ))
@@ -270,9 +284,7 @@ def test_certify_wandering_arch():
 def test_certify_factors_no_multiple_of_an_integral_parameter(monkeypatch):
     # t = 3 p q is integral, so M = 1 and only den z = 2 is factored
     pq = 100000007 * 999999937
-    factored = []
-    factor_integer = arith.factor_integer
-    monkeypatch.setattr(arith, "factor_integer", lambda n: factored.append(n) or factor_integer(n))
+    factored = _count_factorings(monkeypatch)
     cert = certify_point(Z2T, Fraction(3 * pq), Fraction(1, 2))
     assert cert.verdict == "wandering" and cert.witness == Place.finite(2)
     assert factored and not any(n % pq == 0 for n in factored)
