@@ -12,6 +12,7 @@ from typing import Sequence
 
 import sympy
 
+from .arith import parse_rational
 from .errors import DomainError
 
 Coeffs = tuple[Fraction, ...]
@@ -20,8 +21,6 @@ Coeffs = tuple[Fraction, ...]
 def poly(coeffs: Sequence[Fraction | int | str]) -> Coeffs:
     """Normalize to a tuple of Fractions with no trailing zero (leading)
     coefficients; the zero polynomial is the empty tuple."""
-    from .arith import parse_rational
-
     cs = [parse_rational(c) for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
@@ -38,16 +37,6 @@ def evaluate(f: Coeffs, x: Fraction) -> Fraction:
     for c in reversed(f):
         acc = acc * x + c
     return acc
-
-
-def add(f: Coeffs, g: Coeffs) -> Coeffs:
-    n = max(len(f), len(g))
-    return poly(
-        [
-            (f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)
-            for i in range(n)
-        ]
-    )
 
 
 def mul(f: Coeffs, g: Coeffs) -> Coeffs:
@@ -68,46 +57,6 @@ def scale(f: Coeffs, r: Fraction) -> Coeffs:
 
 def derivative(f: Coeffs) -> Coeffs:
     return poly([i * c for i, c in enumerate(f)][1:])
-
-
-def divmod_poly(f: Coeffs, g: Coeffs) -> tuple[Coeffs, Coeffs]:
-    if not g:
-        raise DomainError("division by the zero polynomial")
-    q = [Fraction(0)] * max(0, len(f) - len(g) + 1)
-    r = list(f)
-    dg, lg = degree(g), g[-1]
-    while len(r) >= len(g) and any(c != 0 for c in r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(g):
-            break
-        shift = len(r) - len(g)
-        factor = r[-1] / lg
-        q[shift] = factor
-        for i, c in enumerate(g):
-            r[shift + i] -= factor * c
-        r.pop()
-    return poly(q), poly(r)
-
-
-def gcd_poly(f: Coeffs, g: Coeffs) -> Coeffs:
-    """Monic gcd over Q."""
-    a, b = f, g
-    while b:
-        a, b = b, divmod_poly(a, b)[1]
-    if not a:
-        return ()
-    return scale(a, 1 / a[-1])
-
-
-def squarefree_part(f: Coeffs) -> Coeffs:
-    """The radical f / gcd(f, f'), monic up to the original leading sign."""
-    if degree(f) <= 0:
-        return f
-    g = gcd_poly(f, derivative(f))
-    q, r = divmod_poly(f, g)
-    assert not r
-    return q
 
 
 def compose_power(f: Coeffs, e: int) -> Coeffs:

@@ -15,6 +15,7 @@ Conventions: v_p is the usual additive valuation with v_p(p) = 1, so
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -41,6 +42,8 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
     """Parse a num/den string (den optional) into an exact Fraction."""
     if isinstance(text, Fraction):
         return text
+    if isinstance(text, bool):  # JSON true/false are not numbers
+        raise SpecError(f"not a rational: {text!r}")
     if isinstance(text, int):
         return Fraction(text)
     s = str(text).strip()
@@ -117,8 +120,6 @@ def _pollard_rho(n: int) -> int:
     # Brent's variant; n odd composite, no factor below the sieve limit.
     if n % 2 == 0:
         return 2
-    import random
-
     rng = random.Random(0xBEEF ^ n)
     while True:
         y, c, m = rng.randrange(1, n), rng.randrange(1, n), 128
@@ -430,6 +431,16 @@ def naive_height(q: Fraction) -> LogSum:
     """h(x/y) = log max(|x|, |y|) for coprime x, y, as an exact LogSum."""
     q = Fraction(q)
     return LogSum(factor_integer(max(abs(q.numerator), q.denominator)))
+
+
+def _naive_height_interval(q: Fraction) -> Interval:
+    """Enclosure of h(q) that never factors (safe for huge rationals): the
+    integer max(|num q|, den q) is rounded outward at the working precision,
+    whatever its size, before its log is taken."""
+    n = max(abs(q.numerator), q.denominator)
+    if n <= 1:
+        return Interval.zero()
+    return log_interval(Fraction(n))
 
 
 # ---------------------------------------------------------------------------

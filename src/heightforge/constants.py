@@ -140,8 +140,12 @@ def mk_b(fam: Family) -> MKConstants:
 
 def separation_poly(fam: Family) -> _polys.Coeffs:
     """g(X) = radical(F(X,1))(X^e): monic, squarefree, whose roots are
-    exactly the distinct roots zeta of f_1 (the e-th roots of the beta_i)."""
-    rad = _polys.squarefree_part(fam.f1)
+    exactly the distinct roots zeta of f_1 (the e-th roots of the beta_i).
+    The radical is the product of the distinct irreducible factors of
+    F(X, 1), made monic."""
+    rad = (Fraction(1),)
+    for fac, _ in fam.factors:
+        rad = _polys.mul(rad, fac)
     rad = _polys.scale(rad, 1 / rad[-1])
     return _polys.compose_power(rad, fam.e)
 

@@ -23,6 +23,7 @@ from ._intervals import Interval, log_interval
 from ._polys import Coeffs
 from .arith import (
     LocalValue,
+    _naive_height_interval,
     factor_integer,
     format_rational,
     newton_polygon,
@@ -144,8 +145,12 @@ class Family:
     @staticmethod
     def from_json(obj: dict) -> "Family":
         try:
-            e = int(obj["e"])
-            coeffs = obj["F"]
+            e, coeffs = obj["e"], obj["F"]
+            # an integer or an integer string; a float such as 2.7 or a JSON
+            # true would otherwise be read silently as int(e)
+            if isinstance(e, bool) or not isinstance(e, (int, str)):
+                raise TypeError(f"e must be an integer, got {e!r}")
+            e = int(e)
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"malformed family spec: {obj!r}") from exc
         return build_family(coeffs, e)
@@ -337,8 +342,6 @@ class SpecializedMap:
     @cached_property
     def orbit_cutoff(self) -> float:
         """Default naive-height cutoff d h(t) + 20 for escape tests on orbits."""
-        from .heights import _naive_height_interval  # heights imports this module
-
         return self.d * _naive_height_interval(self.t).hi + 20.0
 
     def green_data(self, p: int) -> _FiniteGreenData:
@@ -447,11 +450,11 @@ def analyze_cover(
 ) -> CoverAnalysis:
     """Pole structure of phi(t) = numer(t)/denom(t) over Q.
 
-    Requires coprime numerator and denominator and a nonconstant map.  Poles
-    in the affine line are grouped by the irreducible factors of the
-    denominator (count = factor degree, order = factor multiplicity); the
-    map has a pole at infinity of order deg numer - deg denom when that
-    difference is positive.
+    Requires coprime numerator and denominator (a nonzero resultant) and a
+    nonconstant map.  Poles in the affine line are grouped by the irreducible
+    factors of the denominator (count = factor degree, order = factor
+    multiplicity); the map has a pole at infinity of order
+    deg numer - deg denom when that difference is positive.
     """
     nu = _polys.poly(list(numer))
     de = _polys.poly(list(denom))
@@ -462,8 +465,7 @@ def analyze_cover(
         raise SpecError("constant map: zero numerator")
     if _polys.degree(nu) <= 0 and _polys.degree(de) <= 0:
         raise SpecError("constant map")
-    g = _polys.gcd_poly(nu, de)
-    if _polys.degree(g) > 0:
+    if _polys.resultant(nu, de) == 0:
         raise SpecError("numer and denom share a nonconstant factor")
     groups: list[PoleGroup] = []
     if _polys.degree(de) > 0:

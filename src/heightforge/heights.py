@@ -110,6 +110,7 @@ from .arith import (
     LocalValue,
     LogSum,
     Place,
+    _naive_height_interval,
     factor_integer,
     factor_rational,
     naive_height,
@@ -143,33 +144,6 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# naive height enclosures
-# ---------------------------------------------------------------------------
-
-
-def _log_int_interval(n: int) -> Interval:
-    """Certified enclosure of log n for a (possibly huge) positive integer."""
-    if n <= 0:
-        raise DomainError("log of a nonpositive integer")
-    if n.bit_length() <= 50:
-        return log_interval(Fraction(n))
-    s = n.bit_length() - 50
-    m = n >> s  # m 2^s <= n < (m+1) 2^s
-    log2s = log_interval(Fraction(2)).scale(s)
-    lo = (log_interval(Fraction(m)) + log2s).lo
-    hi = (log_interval(Fraction(m + 1)) + log2s).hi
-    return Interval(lo, hi)
-
-
-def _naive_height_interval(q: Fraction) -> Interval:
-    """Enclosure of h(q) that never factors (safe for huge rationals)."""
-    n = max(abs(q.numerator), q.denominator)
-    if n <= 1:
-        return Interval.zero()
-    return _log_int_interval(n)
-
-
-# ---------------------------------------------------------------------------
 # height defect bound
 # ---------------------------------------------------------------------------
 
@@ -197,8 +171,8 @@ def height_defect_bound(fam: Family, t: Fraction) -> float:
     second where |x| = H; each gives max(|N|, L|y|^d) >= R H^d / (2 d K) for
     its cofactor size K.  The gcd of numerator and denominator divides L R
     (L times the second identity has integer cofactors), which divides R^2.
-    The constant below charges log(2 d R min(K1, K2)); this argument
-    supports max(K1, K2) only (ROADMAP, "height-defect constant").
+    A point may fall under either identity, so the constant charges
+    log(2 d R max(K1, K2)).
     """
     C, L = specialized(fam, t).integral_model  # integer coefficients
     d = fam.d
@@ -211,7 +185,7 @@ def height_defect_bound(fam: Family, t: Fraction) -> float:
     for k in range(1, d):
         A.append(-sum(rev[i] * A[k - i] for i in range(1, k + 1)) / rev[0])
     B = [-sum(A[i] * rev[d + k - i] for i in range(k, d)) / L for k in range(d)]
-    lower_arg = 2 * d * R * min(R / L, max(abs(c) for c in A + B))
+    lower_arg = 2 * d * R * max(R / L, max(abs(c) for c in A + B))
     return log_interval(max(upper_arg, lower_arg, Fraction(1))).hi
 
 

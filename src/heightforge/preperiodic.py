@@ -48,12 +48,18 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from sympy import integer_nthroot
 
-from . import _polys
-from .arith import INF, Place, factor_integer, format_rational, vp_or_none
+from .arith import (
+    INF,
+    Place,
+    _naive_height_interval,
+    factor_integer,
+    format_rational,
+    vp_or_none,
+)
 from .constants import exceptional_places
 from .errors import BudgetExceeded, DomainError
-from .family import CoverAnalysis, Family, SpecializedMap, specialized
-from .heights import _naive_height_interval, canonical_height, local_green
+from .family import CoverAnalysis, Family, SpecializedMap, evaluate_cover, specialized
+from .heights import canonical_height, local_green
 
 __all__ = [
     "CycleFound",
@@ -84,11 +90,12 @@ _MAX_BOX_PARAMETERS = 10**6
 
 _LN2 = math.log(2)
 # For n = max(|num w|, den w) of b bits, |_naive_height_interval(w).mid - log n|
-# <= 2^-44 + b 2^-48: the logs of 50-bit integers are at most 4 ulps (2^-45)
-# wide, log(m + 1) - log m <= 2^-49 for the top 50 bits m of n, and the log 2
-# enclosure scaled by b - 50, the sums and the midpoint each add a few ulps
-# of b log 2.  Rounding (b - 1) log 2 and b log 2 to floats adds b 2^-52, so
-# a margin of (b + 1) 2^-40 covers every b with a factor of 16 to spare.
+# is at most about 2 ulps of log n: libmp rounds n outward and takes its log
+# at 120 bits, so only the rounding of each endpoint to a float, pushed one ulp
+# outward, and the midpoint's own rounding remain.  log n < b log 2 < b, so
+# those ulps stay below b 2^-50, and rounding (b - 1) log 2 and b log 2 to
+# floats adds b 2^-52: a margin of (b + 1) 2^-40 covers every b with about 2^9
+# to spare.
 _MID_ERROR_PER_BIT = 2.0**-40
 
 
@@ -448,11 +455,7 @@ def find_nonpower_place(
 ) -> Optional[Place]:
     """The smallest finite place outside S with v(phi(t)) < 0 and e not
     dividing v(phi(t)), or None when no such place exists for this t."""
-    t = Fraction(t)
-    den_val = _polys.evaluate(cov.denom, t)
-    if den_val == 0:
-        raise DomainError("t is a pole of the cover")
-    val = _polys.evaluate(cov.numer, t) / den_val
+    val = evaluate_cover(cov, t)
     if val == 0:
         raise DomainError("phi(t) = 0 has no negative valuations")
     excluded = {pl.prime for pl in S if not pl.is_archimedean}
@@ -633,11 +636,11 @@ def _scan_one(
         "heights": {},
     }
     if cover is not None:
-        den_val = _polys.evaluate(cover.denom, t)
-        if den_val == 0:
+        try:
+            param = evaluate_cover(cover, t)
+        except DomainError:  # t is a pole of the cover
             res["pole"] = True
             return res
-        param = _polys.evaluate(cover.numer, t) / den_val
         if criterion is not None and t != 0:
             if not power_criterion(criterion[0], criterion[1], t).solvable:
                 res["criterion"] = True

@@ -41,7 +41,7 @@ def test_parse_format_roundtrip():
 
 
 def test_parse_rational_rejects_garbage():
-    for bad in ["", "1/0", "x", "1.5.2", "2/3/4"]:
+    for bad in ["", "1/0", "x", "1.5.2", "2/3/4", True, False, 2.5]:
         with pytest.raises(SpecError):
             parse_rational(bad)
 

@@ -142,10 +142,12 @@ def test_missing_family_file_exit_1(capsys, tmp_path):
 
 def test_invalid_family_shape_exit_1(capsys, tmp_path):
     bad = tmp_path / "fam.json"
-    bad.write_text(json.dumps({"e": 2, "F": []}))
-    code, out = run_cli(capsys, "height", "--family", str(bad), "--t", "1", "--z", "0")
-    assert code == 1
-    assert out["error"]["kind"] == "spec"
+    # a float weight and a JSON true coefficient are refused, not read as 2 and 1
+    for spec in ({"e": 2, "F": []}, {"e": 2.7, "F": [1, 1]}, {"e": 2, "F": [True, "1"]}):
+        bad.write_text(json.dumps(spec))
+        code, out = run_cli(capsys, "height", "--family", str(bad), "--t", "1", "--z", "0")
+        assert code == 1, spec
+        assert out["error"]["kind"] == "spec"
 
 
 def test_usage_error_exit_1(capsys):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+import sympy
 
 from heightforge import _polys as P
 from heightforge.arith import (
@@ -147,6 +148,27 @@ def test_separation_poly():
     assert g2 == P.poly([1, 0, 1])
     gw = separation_poly(WEIGHTED)
     assert gw == P.poly([1, 0, 0, -3, 0, 0, 1])
+    # random F(X, 1) with repeated factors: sympy's monic squarefree part,
+    # composed with X^e
+    x = sympy.Symbol("x")
+    rng = random.Random(6101)
+    for _ in range(40):
+        f1 = (Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3)),)
+        for _ in range(rng.randint(1, 3)):
+            fac = P.poly([rng.choice([-4, -1, 1, 2, 3]), rng.randint(-3, 3), rng.randint(0, 1)])
+            f1 = P.mul(f1, P.poly([1]) if P.degree(fac) < 1 else fac)
+            for _ in range(rng.randint(0, 2)):
+                f1 = P.mul(f1, fac)
+        if P.degree(f1) < 1:
+            continue
+        e = rng.choice([2, 3])
+        fam = build_family(list(reversed(f1)), e)
+        rad = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f1)],
+                         x).sqf_part().monic()
+        expected = rad.compose(sympy.Poly(x**e, x)).all_coeffs()
+        assert separation_poly(fam) == P.poly(
+            [Fraction(int(c.p), int(c.q)) for c in reversed(expected)]
+        ), fam
 
 
 def test_mk_mvt_unit_roots_vanish_at_large_primes():
@@ -167,13 +189,14 @@ def test_mk_mvt_requires_d_gt_e():
 
 def _shift_poly(g, z):
     """h(W) = g(z - W) as exact coefficients, constant-first."""
-    out = (Fraction(0),)
+    out = [Fraction(0)] * len(g)
     lin = (z, Fraction(-1))  # z - W
     power = (Fraction(1),)
     for c in g:
-        out = P.add(out, P.scale(power, c))
+        for i, a in enumerate(power):
+            out[i] += c * a
         power = P.mul(power, lin)
-    return out
+    return P.poly(out)
 
 
 def _mvt_oracle_finite(fam, z, p):

@@ -52,6 +52,12 @@ def test_family_json_roundtrip():
     assert again == fam
     with pytest.raises(SpecError):
         Family.from_json({"e": 2})
+    # e is an integer or an integer string; JSON floats and booleans are refused
+    assert Family.from_json({"e": "3", "F": [1, "1"]}) == build_family([1, 1], 3)
+    for bad in ({"e": 2.7, "F": [1, 1]}, {"e": 2.0, "F": [1, 1]},
+                {"e": True, "F": [1, 1]}, {"e": 2, "F": [True, "1"]}):
+        with pytest.raises(SpecError):
+            Family.from_json(bad)
 
 
 def test_specialize():
@@ -257,6 +263,9 @@ def test_cover_pole_at_infinity_not_counted():
 def test_cover_validation():
     with pytest.raises(SpecError):
         analyze_cover([1, 1], [2, 2])  # shared factor t + 1
+    with pytest.raises(SpecError):
+        # shared irreducible quadratic: (t^2+1)(t+2) over (t^2+1) t
+        analyze_cover([2, 1, 2, 1], [0, 1, 0, 1])
     with pytest.raises(SpecError):
         analyze_cover([3], [2])  # constant map
     with pytest.raises(SpecError):

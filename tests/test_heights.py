@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
 
@@ -25,7 +26,7 @@ from heightforge.heights import (
     local_green,
     naive_height,
 )
-from heightforge.heights import _log_int_interval, _naive_height_interval
+from heightforge.heights import _naive_height_interval
 
 Z2T = build_family([1, 1], 2)
 
@@ -41,14 +42,19 @@ def test_naive_height_examples():
     assert naive_height(Fraction(1)).is_zero()
 
 
-def test_log_int_interval_huge():
-    n = 3**400 + 17
-    enc = _log_int_interval(n)
-    ref = 400 * math.log(3)  # log(3^400 + 17) ~ 400 log 3 + 17*3^-400
-    assert enc.lo <= ref <= enc.hi + 1e-9
-    assert enc.width < 1e-12 * ref
-    with pytest.raises(DomainError):
-        _log_int_interval(0)
+def test_naive_height_interval_sweep():
+    # libmp rounds an integer of any bit length outward: each enclosure holds
+    # log n and is at most 4 ulps wide, from 2 bits to past the orbit bit cap
+    rng = random.Random(5003)
+    with mpmath.workprec(400):
+        for b in [2, 49, 50, 51, 64, 1000, 10**4, 2 * 10**5]:
+            for n in {1 << (b - 1), (1 << b) - 1, rng.getrandbits(b) | 1 << (b - 1)}:
+                enc = _naive_height_interval(Fraction(1, n))
+                ref = mpmath.log(n)
+                assert mpmath.mpf(enc.lo) <= ref <= mpmath.mpf(enc.hi), (b, n)
+                assert enc.width <= 4 * math.ulp(float(ref)), (b, n)
+    assert _naive_height_interval(Fraction(0)) == Interval.zero()
+    assert _naive_height_interval(Fraction(-1)) == Interval.zero()
 
 
 # -- height defect bound ----------------------------------------------------------
@@ -78,7 +84,7 @@ def _sympy_defect_bound(fam, t) -> float:
     Cs = [sympy.Integer(int(c)) for c in C]
     K1, R1 = bezout(sum(c * x**i for i, c in enumerate(Cs)), sympy.Integer(L))
     K2, R2 = bezout(sum(c * x**i for i, c in enumerate(reversed(Cs))), L * x**d)
-    arg = max(sum(abs(c) for c in Cs), L, 2 * d * min(K1 * R2, K2 * R1), 1)
+    arg = max(sum(abs(c) for c in Cs), L, 2 * d * max(K1 * R2, K2 * R1), 1)
     return log_interval(Fraction(int(arg.p), int(arg.q))).hi
 
 
@@ -98,6 +104,16 @@ def test_defect_closed_form_matches_sympy_bezout():
                       Fraction(rng.randint(-30, 30), rng.randint(1, 30))))
     for fam, t in pairs:
         assert height_defect_bound(fam, t) == _sympy_defect_bound(fam, t), (fam, t)
+
+
+def test_defect_near_a_real_root():
+    # w = 161803/10000 lies next to the real root sqrt(261.8) of
+    # z^4 - 300 z^2 + 10^4, so |f(w)| is small against |w|^4: the defect there
+    # is 11.14, above the 9.24 that 2 d R min(K1, K2) would give
+    fam, t, w = build_family([1, -3, 1], 2), Fraction(100), Fraction(161803, 10000)
+    fw = P.evaluate(specialize(fam, t), w)
+    defect = abs(_naive_height_interval(fw).mid - 4 * _naive_height_interval(w).mid)
+    assert 11.1 < defect <= height_defect_bound(fam, t)
 
 
 def test_defect_z2_minus_1_exhaustive():

@@ -147,8 +147,8 @@ def test_orbit_cutoff_matches_midpoint_test():
         (Z3T, Fraction(-2, 3), Fraction(1, 7)),
         (Z4T2, Fraction(1, 4), Fraction(3, 2)),
         (NONMONIC, Fraction(-7, 2), Fraction(1, 5)),
-        # the midpoints of h(2^58) and h(2^116) fall just below (b - 1) log 2,
-        # and that of h(2^51 - 1) reaches b log 2: only the margin keeps these
+        # the midpoints of h(2^58) and h(2^116) fall on (b - 1) log 2, and
+        # that of h(2^51 - 1) reaches b log 2: only the margin keeps these
         (Z2T, Fraction(0), Fraction(2**58)),
         (Z2T, Fraction(0), Fraction(2**51 - 1)),
     ]
@@ -164,8 +164,8 @@ def test_orbit_cutoff_matches_midpoint_test():
             rec = iterate_orbit(fam, t, z, 6, height_cutoff=cutoff)
             points, event = _reference_orbit(fam, t, z, 6, cutoff)
             assert (rec.points, rec.event) == (tuple(points), event), (fam, t, z, cutoff)
-    # the margin bounds the midpoint's error from log n, with the factor of 16
-    # the derivation claims, past the orbit bit cap too
+    # the margin bounds the midpoint's error from log n with a factor of 16 to
+    # spare (the derivation claims about 2^9), past the orbit bit cap too
     rng = random.Random(7004)
     with mpmath.workprec(400):
         for b in [1, 2, 3, 49, 50, 51, 52, 64, 200, 1000, 10**4, 2 * 10**5, 10**6]:
