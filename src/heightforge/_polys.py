@@ -2,7 +2,10 @@
 
 Coefficient lists are constant-term first throughout the package (matching
 the cover-spec JSON convention).  Everything here is exact Fraction
-arithmetic; sympy is used in one place only, to factor over Q.
+arithmetic: ring operations, denominator clearing, and resultants and
+discriminants as Sylvester determinants, which the package only takes of
+small polynomials (a cover's numerator and denominator, the radical of
+F(X, 1)).  sympy is used in one place only, to factor over Q.
 """
 from __future__ import annotations
 
@@ -57,16 +60,6 @@ def scale(f: Coeffs, r: Fraction) -> Coeffs:
 
 def derivative(f: Coeffs) -> Coeffs:
     return poly([i * c for i, c in enumerate(f)][1:])
-
-
-def compose_power(f: Coeffs, e: int) -> Coeffs:
-    """f(X^e)."""
-    if e < 1:
-        raise DomainError("power must be >= 1")
-    out = [Fraction(0)] * (e * degree(f) + 1) if f else []
-    for i, c in enumerate(f):
-        out[e * i] = c
-    return poly(out)
 
 
 def clear_denominators(f: Coeffs) -> tuple[Coeffs, int]:
@@ -175,56 +168,3 @@ def discriminant(f: Coeffs) -> Fraction:
         return Fraction(1)
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return sign * resultant(f, derivative(f), n, n - 1) / f[-1]
-
-
-# ---------------------------------------------------------------------------
-# certified root bounds for squarefree integer polynomials
-# ---------------------------------------------------------------------------
-
-
-def sqrt_lower(q: Fraction) -> Fraction:
-    """A rational lower bound for sqrt(q), q >= 0."""
-    if q < 0:
-        raise DomainError("sqrt of a negative rational")
-    if q == 0:
-        return Fraction(0)
-    scale_ = 1 << 64
-    n = q.numerator * scale_ * scale_ // q.denominator
-    return Fraction(math.isqrt(n), scale_)
-
-
-def sqrt_upper(q: Fraction) -> Fraction:
-    """A rational upper bound for sqrt(q), q >= 0."""
-    if q < 0:
-        raise DomainError("sqrt of a negative rational")
-    if q == 0:
-        return Fraction(0)
-    scale_ = 1 << 64
-    n = q.numerator * scale_ * scale_ // q.denominator
-    r = math.isqrt(n)
-    if r * r < n:
-        r += 1
-    return Fraction(r, scale_)
-
-
-def mahler_separation_lower(f: Coeffs) -> Fraction:
-    """A positive rational lower bound for the minimal distance between two
-    distinct complex roots of a squarefree polynomial over Q, via
-
-        sep(f) > sqrt(3 |disc|) / ( n^((n+2)/2) * ||f||_2^(n-1) ).
-
-    The polynomial is cleared to integer coefficients first (roots unchanged).
-    """
-    n = degree(f)
-    if n < 2:
-        raise DomainError("separation needs degree >= 2")
-    fi, _ = clear_denominators(f)
-    disc = discriminant(fi)
-    if disc == 0:
-        raise DomainError("polynomial is not squarefree")
-    num = sqrt_lower(3 * abs(disc))
-    norm_sq = sum(c * c for c in fi)
-    norm_up = sqrt_upper(norm_sq)
-    half = (n + 2 + 1) // 2  # integer exponent >= (n+2)/2, n^x increasing
-    den = Fraction(n) ** half * norm_up ** (n - 1)
-    return num / den

@@ -64,7 +64,9 @@ def format_rational(q: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# primality and factoring (trial division + deterministic Miller-Rabin,
+# primality and factoring (trial division, then Miller-Rabin with 13 fixed
+# bases, which proves primality only below 3317044064679887385961981: that
+# number is itself a strong pseudoprime to all 13 bases, and is accepted;
 # Pollard rho fallback for stray large cofactors)
 # ---------------------------------------------------------------------------
 

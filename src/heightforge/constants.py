@@ -21,7 +21,6 @@ from .arith import (
     INF,
     LogSum,
     Place,
-    factor_rational,
     format_rational,
     log_rational_exact,
     naive_height,
@@ -138,18 +137,6 @@ def mk_b(fam: Family) -> MKConstants:
 # ---------------------------------------------------------------------------
 
 
-def separation_poly(fam: Family) -> _polys.Coeffs:
-    """g(X) = radical(F(X,1))(X^e): monic, squarefree, whose roots are
-    exactly the distinct roots zeta of f_1 (the e-th roots of the beta_i).
-    The radical is the product of the distinct irreducible factors of
-    F(X, 1), made monic."""
-    rad = (Fraction(1),)
-    for fac, _ in fam.factors:
-        rad = _polys.mul(rad, fac)
-    rad = _polys.scale(rad, 1 / rad[-1])
-    return _polys.compose_power(rad, fam.e)
-
-
 @lru_cache(maxsize=None)
 def mk_mvt(fam: Family) -> MKConstants:
     """Nearest-root constant 𝔢 with
@@ -157,46 +144,53 @@ def mk_mvt(fam: Family) -> MKConstants:
     for all z.  One admissible conservative choice (no closed form is forced);
     its defining inequality is property-tested.
 
-    Construction: let g be the squarefree separation polynomial (degree n,
-    monic) and A = max alpha_i.  Writing zeta_0 for the root nearest z, the
-    inequality reduces to bounding sum over other roots of
+    Construction: the distinct roots zeta of f_1 are the roots of the
+    squarefree g = r(X^e), r the monic radical of F(X, 1); g has degree
+    n = e deg r, and A = max alpha_i.  Writing zeta_0 for the root nearest z,
+    the inequality reduces to bounding sum over other roots of
     alpha log|z - zeta|, which ultrametrically is controlled by pairwise
-    root distances:
+    root distances.  Everything is read from r, never from g:
 
     * finite p: sum over pairs of v_p+(zeta_i - zeta_j) is at most
       v_p(disc g)/2 + (n choose 2) * amax_p / e, since each pairwise
       valuation is at least -amax_p/e; so
-      𝔢_p = A * max(0, v_p(disc g)/2 + (n(n-1)/2) * amax_p/e) * log p.
+      𝔢_p = A * max(0, v_p(disc g)/2 + (n(n-1)/2) * amax_p/e) * log p,
+      with disc g = +-e^n r(0)^(e-1) disc(r)^e.
     * archimedean: every other root stays at distance >= sep/2 when z is
       within sep/2 of zeta_0 (and >= the same bound otherwise), with sep
-      bounded below by the certified Mahler separation bound; so
-      𝔢_inf = (n-1) * A * log+ (2 / sep_lo), rounded up to the next power
-      of two so the value stays an exact multiple of log 2 (the separation
-      bound's numerator and denominator are far too large to factor).
+      bounded below by Mahler's bound for the integral G = m g (m the lcm
+      of r's denominators; G has the coefficients of m r):
+          sep > sqrt(3 |disc G|) / (n^((n+2)/2) ||G||_2^(n-1)).
+      𝔢_inf = (n-1) * A * k * log 2, with k >= 0 the least integer making
+      2^k at least 2 / (that bound), so the value stays an exact multiple
+      of log 2; squared, the test on k compares integers only.
     """
     _require_monic(fam, "mk_mvt")
     if fam.d == fam.e:
         raise DomainError("mk_mvt needs d > e (degree of F at least 2)")
-    g = separation_poly(fam)
-    n = _polys.degree(g)
+    r, e = fam.radical, fam.e
+    n = e * _polys.degree(r)
     a_max = Fraction(max(mult for _, mult in fam.factors))
     pairs = Fraction(n * (n - 1), 2)
-    disc_vals = factor_rational(_polys.discriminant(g))
+    r0, disc_r = abs(r[0]), abs(_polys.discriminant(r))
+    disc_g = (
+        log_rational_exact(e).scale(n)
+        + log_rational_exact(r0).scale(e - 1)
+        + log_rational_exact(disc_r).scale(e)
+    ).terms
     finite: dict[int, Fraction] = {}
-    for p in sorted(set(disc_vals) | set(fam.coefficient_support)):
-        coeff = a_max * (
-            Fraction(disc_vals.get(p, 0), 2) + pairs * fam.amax(p) / fam.e
-        )
+    for p in sorted(set(disc_g) | set(fam.coefficient_support)):
+        coeff = a_max * (Fraction(disc_g.get(p, 0), 2) + pairs * fam.amax(p) / e)
         coeff = max(Fraction(0), coeff)
         if coeff:
             finite[p] = coeff
-    sep_lo = _polys.mahler_separation_lower(g)
-    ratio = 2 / sep_lo
-    if ratio <= 1:
-        arch = LogSum.zero()
-    else:
-        k = _ceil_log2(ratio)
-        arch = LogSum.single(Fraction(k) * (n - 1) * a_max, 2)
+    m = _polys.clear_denominators(r)[1]
+    disc_big = m ** (2 * n - 2) * e**n * r0 ** (e - 1) * disc_r**e  # |disc G|
+    norm_sq = sum((m * c) ** 2 for c in r)  # ||G||_2^2
+    half = (n + 3) // 2  # integer exponent >= (n+2)/2, n^x increasing
+    ratio_sq = 4 * n ** (2 * half) * norm_sq ** (n - 1) / (3 * disc_big)
+    k = (_ceil_log2(ratio_sq) + 1) // 2  # least k with 4^k >= ratio_sq
+    arch = LogSum.single(Fraction(k) * (n - 1) * a_max, 2)
     return _mk(finite, arch)
 
 
@@ -454,15 +448,15 @@ def resultant_bound_check(fam: Family, t: Fraction) -> ResultantBound:
     """Exact check that log|Res| <= (2d^2/e) h(t) + 2d h(a_D), decided by
     integer arithmetic (both sides are exact log sums).  log|Res| is read
     from Res = M^{2d} a_D^d and the factorization of M, so Res is never
-    factored."""
+    factored; h(t) goes through the map's `factor`, so the primes of den t
+    that M already holds are not searched for again."""
     t = Fraction(t)
     fmap = specialized(fam, t)
     d, e = fam.d, fam.e
     lhs = LogSum(
         {p: Fraction(2 * d * k) for p, k in fmap.denominator_factors.items()}
     ) + log_rational_exact(abs(fam.lead)).scale(Fraction(d))
-    rhs = naive_height(t).scale(Fraction(2 * d * d, e)) + naive_height(
-        fam.lead
-    ).scale(Fraction(2 * d))
+    h_t = LogSum(fmap.factor(max(abs(t.numerator), t.denominator)))
+    rhs = h_t.scale(Fraction(2 * d * d, e)) + naive_height(fam.lead).scale(Fraction(2 * d))
     ok = lhs.compare(rhs) <= 0
     return ResultantBound(resultant=model_resultant(fam, t), lhs=lhs, rhs=rhs, ok=ok)

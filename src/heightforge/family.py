@@ -97,6 +97,15 @@ class Family:
         return tuple(facs)
 
     @cached_property
+    def radical(self) -> Coeffs:
+        """The monic radical r of F(X, 1): the product of its distinct
+        irreducible factors, made monic.  Its roots are the distinct beta_i."""
+        rad = (Fraction(1),)
+        for fac, _ in self.factors:
+            rad = _polys.mul(rad, fac)
+        return _polys.scale(rad, 1 / rad[-1])
+
+    @cached_property
     def coefficient_support(self) -> tuple[int, ...]:
         primes: set[int] = set()
         for a in self.form:
@@ -326,18 +335,32 @@ class SpecializedMap:
         """Sorted primes dividing some coefficient's denominator, i.e. M."""
         return tuple(self.denominator_factors)
 
+    def factor(self, n: int) -> dict[int, int]:
+        """The factorization {p: v_p(n)} of an integer n != 0, sorted by p:
+        valuations at M's primes by division, and factor_integer only on the
+        cofactor prime to M, so no prime of M is searched for again."""
+        n, out = abs(n), {}
+        for p in self.denominator_primes:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            if k:
+                out[p] = k
+        if n == 1:
+            return out  # sorted already, as M's primes are
+        out.update(factor_integer(n))
+        return dict(sorted(out.items()))
+
     def bad_primes(self, z: Fraction) -> tuple[int, ...]:
         """The sorted primes of M and of den z: the only primes at which the
         orbit of z can leave Z_p.  At any other prime every c_i is p-integral,
         so the escape threshold is <= 0 and the p-integral orbit never
-        escapes.  Only the part of den z prime to M is factored."""
-        rest = z.denominator
-        for p in self.denominator_primes:
-            while rest % p == 0:
-                rest //= p
-        if rest == 1:
+        escapes.  A den z made of M's primes is not factored at all."""
+        primes, m_primes = self.factor(z.denominator).keys(), self.denominator_factors.keys()
+        if primes <= m_primes:
             return self.denominator_primes
-        return tuple(sorted(self.denominator_primes + tuple(factor_integer(rest))))
+        return tuple(sorted(primes | m_primes))
 
     @cached_property
     def orbit_cutoff(self) -> float:

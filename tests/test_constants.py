@@ -10,6 +10,7 @@ import pytest
 import sympy
 
 from heightforge import _polys as P
+from heightforge import arith, family
 from heightforge.arith import (
     INF,
     LogSum,
@@ -31,7 +32,6 @@ from heightforge.constants import (
     model_resultant,
     pigeonhole_delta,
     resultant_bound_check,
-    separation_poly,
     theorem1_constants,
 )
 from heightforge.errors import DomainError
@@ -141,12 +141,20 @@ def test_mk_b_dominates_both_tails():
 # -- mk_mvt --------------------------------------------------------------------
 
 
+def _at_power(f, e):
+    """f(X^e), constant-first."""
+    out = [Fraction(0)] * (e * P.degree(f) + 1)
+    out[::e] = f
+    return tuple(out)
+
+
 def test_separation_poly():
-    g = separation_poly(QUARTIC)  # radical(X^2+1)(X^2) = X^4 + 1
+    # g = r(X^e), r the monic radical of F(X, 1), whose roots are the zetas
+    g = _at_power(QUARTIC.radical, QUARTIC.e)  # radical(X^2+1)(X^2) = X^4 + 1
     assert g == P.poly([1, 0, 0, 0, 1])
-    g2 = separation_poly(REPEATED)  # radical((X+1)^2)(X^2) = X^2 + 1
+    g2 = _at_power(REPEATED.radical, REPEATED.e)  # radical((X+1)^2)(X^2) = X^2 + 1
     assert g2 == P.poly([1, 0, 1])
-    gw = separation_poly(WEIGHTED)
+    gw = _at_power(WEIGHTED.radical, WEIGHTED.e)
     assert gw == P.poly([1, 0, 0, -3, 0, 0, 1])
     # random F(X, 1) with repeated factors: sympy's monic squarefree part,
     # composed with X^e
@@ -166,9 +174,62 @@ def test_separation_poly():
         rad = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f1)],
                          x).sqf_part().monic()
         expected = rad.compose(sympy.Poly(x**e, x)).all_coeffs()
-        assert separation_poly(fam) == P.poly(
+        assert _at_power(fam.radical, fam.e) == P.poly(
             [Fraction(int(c.p), int(c.q)) for c in reversed(expected)]
         ), fam
+
+
+def _mvt_families(rng, count):
+    """Monic families with rational coefficients and repeated factors, D <= 3."""
+    fams = [WEIGHTED, QUARTIC, REPEATED]
+    while len(fams) < count:
+        D = rng.randint(2, 3)
+        f1 = (Fraction(1),)
+        while P.degree(f1) < D:
+            k = min(rng.choice([1, 2]), D - P.degree(f1))
+            fac = P.poly([Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 9]))
+                          for _ in range(k)] + [1])
+            if fac[0] != 0:
+                for _ in range(rng.choice([1, 1, 2])):
+                    if P.degree(f1) + k <= D:
+                        f1 = P.mul(f1, fac)
+        fams.append(build_family(list(reversed(f1)), rng.choice([2, 3, 4])))
+    return fams
+
+
+def test_mk_mvt_mahler_separation():
+    # the reference: disc g by sympy on g = r(X^e) itself, and the least k
+    # with 2^k >= 2 / Mahler's separation bound found by stepping k; the
+    # bound 2^(1-k) must sit below the true root separation of g
+    x = sympy.Symbol("x")
+    for fam in _mvt_families(random.Random(4005), 40):
+        g = _at_power(fam.radical, fam.e)
+        n = P.degree(g)
+        a_max = max(mult for _, mult in fam.factors)
+        gs = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(g)], x)
+        disc_g = sympy.discriminant(gs)
+        disc_g = Fraction(int(disc_g.p), int(disc_g.q))
+        ev = mk_mvt(fam)
+        primes = set(support(disc_g)) | set(fam.coefficient_support)
+        assert set(ev.finite) <= primes
+        for p in primes:
+            expected = a_max * (
+                Fraction(padic_valuation(disc_g, p), 2)
+                + Fraction(n * (n - 1), 2) * fam.amax(p) / fam.e
+            )
+            assert ev.coeff_at(p) == max(Fraction(0), expected), (fam, p)
+        big, m = P.clear_denominators(g)
+        disc_big = abs(m ** (2 * n - 2) * disc_g)
+        norm_sq = sum(c * c for c in big)
+        k = 0
+        while 4**k * 3 * disc_big < 4 * n ** (2 * ((n + 3) // 2)) * norm_sq ** (n - 1):
+            k += 1
+        assert ev.arch == LogSum.single(Fraction(k * (n - 1) * a_max), 2), fam
+        with mpmath.workdps(40):
+            roots = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator
+                                      for c in reversed(g)], maxsteps=200, extraprec=200)
+            sep = min(abs(a - b) for i, a in enumerate(roots) for b in roots[:i])
+            assert sep > mpmath.mpf(2) ** (1 - k), fam
 
 
 def test_mk_mvt_unit_roots_vanish_at_large_primes():
@@ -208,7 +269,7 @@ def _mvt_oracle_finite(fam, z, p):
     ev = mk_mvt(fam)
     best = None
     for fac, mult in fam.factors:
-        g_i = P.compose_power(
+        g_i = _at_power(
             P.scale(fac, 1 / fac[-1]), fam.e
         )  # monic, roots are the zetas of this factor
         h = _shift_poly(g_i, z)
@@ -245,7 +306,7 @@ def _numeric_zetas(fam):
     out = []
     with mpmath.workdps(40):
         for fac, mult in fam.factors:
-            g_i = P.compose_power(fac, fam.e)
+            g_i = _at_power(fac, fam.e)
             coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(g_i)]
             out.extend((zeta, mult) for zeta in mpmath.polyroots(coeffs))
     return tuple(out)
@@ -424,6 +485,25 @@ def test_resultant_bound_integral_t():
     assert rb.ok
     assert rb.lhs.is_zero()
     assert rb.rhs == LogSum.single(Fraction(4), 7)
+
+
+def test_resultant_bound_factors_den_t_once(monkeypatch):
+    # t = a/(p q): factoring M finds p and q, and h(t) divides them out of
+    # max(|a|, p q) instead of searching for them again
+    p, q = 100000007, 999999937
+    seen = []
+    original = arith.factor_integer
+
+    def counted(n):
+        seen.append(n)
+        return original(n)
+
+    monkeypatch.setattr(arith, "factor_integer", counted)
+    monkeypatch.setattr(family, "factor_integer", counted)
+    family.specialized.cache_clear()
+    rb = resultant_bound_check(Z2T, Fraction(-7, p * q))
+    assert [n for n in seen if n % p == 0] == [p * q]
+    assert rb.ok and rb.rhs == LogSum({p: Fraction(4), q: Fraction(4)})
 
 
 def test_resultant_bound_weighted():

@@ -9,7 +9,7 @@ import sympy
 
 from heightforge.arith import INF, LocalValue, LogSum, Place, padic_valuation, support
 from heightforge.constants import exceptional_places, mk_a, mk_b
-from heightforge.errors import BudgetExceeded, DomainError
+from heightforge.errors import BudgetExceeded, DomainError, PrecisionLoss
 from heightforge.family import analyze_cover, build_family, specialize
 from heightforge import _polys as P
 from heightforge import heights as H
@@ -320,6 +320,39 @@ def test_green_restart_exhaustion_reports_finite_best(monkeypatch):
         local_green(Z2T, Fraction(-1), INF, Fraction(1, 3), tol=1e-9)
     lo, hi = ei.value.best
     assert lo == 0.0 and math.isfinite(hi) and hi >= math.log(2)
+
+
+# t = (4k+1)/(4u^2) and z = (2j+1)/(2w) under z^2 + t: v_2(z_n) = -1 at
+# every step, so each G_2 reaches the windowed 2-adic phase
+_PADIC_INPUTS = [
+    (Fraction(4 * k + 1, 4 * u * u), Fraction(2 * j + 1, 2 * w))
+    for k in (-3, 2, 5) for u in (1, 3) for w in (1, 3) for j in (-2, 1)
+]
+
+
+def test_green_padic_restarts(monkeypatch):
+    # at 4 starting digits the 2-adic orbit loses its precision: each loss
+    # restarts from z_n with twice the digits, and the result is unchanged
+    losses = []
+    init = PrecisionLoss.__init__
+    monkeypatch.setattr(PrecisionLoss, "__init__",
+                        lambda self, *a: losses.append(a) or init(self, *a))
+    two = Place.finite(2)
+    default = [local_green(Z2T, t, two, z) for t, z in _PADIC_INPUTS]
+    assert losses == []
+    monkeypatch.setattr(H, "_REL_PREC0", 4)
+    assert [local_green(Z2T, t, two, z) for t, z in _PADIC_INPUTS] == default
+    assert len(losses) == 66
+    # one try only: the losses that a restart would absorb now end the call
+    monkeypatch.setattr(H, "_MAX_RESTARTS", 1)
+    exhausted = 0
+    for (t, z), expected in zip(_PADIC_INPUTS, default):
+        try:
+            assert local_green(Z2T, t, two, z) == expected
+        except BudgetExceeded as exc:
+            assert "p-adic precision exhausted for G_2" in str(exc) and exc.best is None
+            exhausted += 1
+    assert exhausted == 22
 
 
 def test_green_budget_past_the_float_range_reports_finite_best():

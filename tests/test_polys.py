@@ -1,13 +1,11 @@
-"""Dense exact polynomial helpers: arithmetic, factoring, resultants,
-separation bounds."""
+"""Dense exact polynomial helpers: arithmetic, factoring, resultants and
+discriminants."""
 import random
 from fractions import Fraction
 
-import pytest
 import sympy
 
 from heightforge import _polys as P
-from heightforge.errors import DomainError
 
 
 def _rand_poly(rng, deg, lo=-9, hi=9, monic=False):
@@ -44,18 +42,6 @@ def test_derivative():
     f = P.poly([5, 0, 1, 2])  # 2x^3 + x^2 + 5
     assert P.derivative(f) == (Fraction(0), Fraction(2), Fraction(6))
     assert P.derivative((Fraction(7),)) == ()
-
-
-def test_compose_power():
-    f = P.poly([1, 2, 3])  # 3x^2 + 2x + 1
-    g = P.compose_power(f, 3)  # 3x^6 + 2x^3 + 1
-    assert g == P.poly([1, 0, 0, 2, 0, 0, 3])
-    rng = random.Random(4)
-    for _ in range(40):
-        f = _rand_poly(rng, rng.randint(0, 4))
-        e = rng.randint(1, 4)
-        x = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-        assert P.evaluate(P.compose_power(f, e), x) == P.evaluate(f, x**e)
 
 
 def test_clear_denominators():
@@ -148,30 +134,3 @@ def test_det_exact_matches_sympy():
         expected = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row]
                                  for row in mat]).det()
         assert P.det_exact(mat) == Fraction(int(expected.p), int(expected.q))
-
-
-def test_sqrt_bounds():
-    rng = random.Random(9)
-    for _ in range(100):
-        q = Fraction(rng.randint(1, 10**8), rng.randint(1, 10**6))
-        lo = P.sqrt_lower(q)
-        hi = P.sqrt_upper(q)
-        assert lo * lo <= q <= hi * hi
-        assert 0 < lo <= hi
-        assert hi - lo < q / 10**9 + Fraction(1, 10**9)
-
-
-def test_mahler_separation_lower():
-    # (x-1)(x-2)(x-3): true min root separation 1
-    f = P.poly([-6, 11, -6, 1])
-    sep = P.mahler_separation_lower(f)
-    assert 0 < sep <= 1
-    # x^2 - 2: separation 2*sqrt(2)
-    g = P.poly([-2, 0, 1])
-    sep2 = P.mahler_separation_lower(g)
-    assert 0 < sep2 <= Fraction(29, 10)
-    # rational coefficients accepted
-    h = P.poly(["1/2", "-3/4", 1])
-    assert P.mahler_separation_lower(h) > 0
-    with pytest.raises(DomainError):
-        P.mahler_separation_lower(P.poly([1, 1]))  # degree 1

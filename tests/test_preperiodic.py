@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from heightforge import arith, family
 from heightforge.arith import INF, Place, padic_valuation, support, vp_or_none
-from heightforge.constants import _mk_c, pigeonhole_delta, theorem1_constants
+from heightforge.constants import _mk_c, exceptional_places, pigeonhole_delta, theorem1_constants
 from heightforge.errors import DomainError
 from heightforge.family import analyze_cover, build_family, specialized
 from heightforge.heights import (
@@ -311,6 +311,21 @@ def test_certify_shell_wanderer():
     assert cert.verdict == "wandering" and cert.witness == INF
 
 
+def test_certify_height_interval_witness():
+    # 0 under z^2 + 10^60000 passes the 200 000-bit cap at step 2, below the
+    # escape cutoff 2 h(t) + 20: neither a cycle nor an escape place is found,
+    # and the canonical-height enclosure certifies the point
+    t = Fraction(10**60000)
+    cert = certify_point(Z2T, t, Fraction(0))
+    assert cert.verdict == "wandering" and cert.witness == "height-interval"
+    assert cert.orbit.event == OrbitTruncated(2)
+    assert cert.orbit.event.to_json() == {"kind": "budget-exhausted", "steps": 2}
+    last = cert.orbit.points[-1]
+    assert last.numerator.bit_length() > preperiodic._ORBIT_BIT_CAP
+    assert cert.orbit.naive_heights[-1] < specialized(Z2T, t).orbit_cutoff
+    assert 0 < cert.hhat_lower_bound <= canonical_height(Z2T, t, Fraction(0), 1e-9).hi
+
+
 def test_certificate_json():
     js = certify_point(Z2T, Fraction(-1), Fraction(0)).to_json()
     assert js["verdict"] == "preperiodic" and js["preperiod"] == 0 and js["period"] == 2
@@ -462,6 +477,40 @@ def test_scan_obstruction_shortcuts_iteration():
     rep = scan(Z2T, 1.2, math.log(10), t_values=[Fraction(1, 3)])
     assert not rep.findings
     assert rep.t_obstructed == 1 and rep.candidates_checked == 0
+
+
+def _preperiodic_by_iteration(fam, t, z):
+    """Whether z is preperiodic, by exact iteration alone: a repeat, or a
+    point above 2^256, whose naive height (177 nats) is far above the height
+    defect of the small-t maps tested here."""
+    seen = set()
+    for _ in range(64):
+        if z in seen:
+            return True
+        seen.add(z)
+        if max(abs(z.numerator), z.denominator) > 2**256:
+            return False
+        z = specialized(fam, t)(z)
+    raise AssertionError(f"undecided: {z}")
+
+
+def test_scan_exceptional_denominator_caps():
+    # 2 is exceptional for z^4 + t^2, theta_2 = v_2(t)/2, so the z-box keeps
+    # the denominators 2^j with j up to the cap -ceil(theta_2)
+    bound = math.log(16)
+    size = preperiodic._box_size(bound)
+    box = [Fraction(x, y) for y in range(1, size + 1) for x in range(-size, size + 1)
+           if math.gcd(x, y) == 1]
+    assert Place.finite(2) in exceptional_places(Z4T2)
+    for t, cap in [(Fraction(1, 4), 1), (Fraction(3, 4), 1), (Fraction(1, 8), 1),
+                   (Fraction(1, 16), 2)]:
+        assert -math.ceil(specialized(Z4T2, t).green_data(2).theta) == cap
+        rep = scan(Z4T2, 1.0, bound, t_values=[t])
+        assert rep.complete
+        assert rep.candidates_checked == sum(z.denominator in {2**j for j in range(cap + 1)}
+                                             for z in box)
+        expected = {z for z in box if _preperiodic_by_iteration(Z4T2, t, z)}
+        assert {f.z for f in rep.findings} == expected, t
 
 
 def test_scan_composed_quartic_no_findings():
