@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -31,7 +32,7 @@ from ._intervals import (
 from .errors import BudgetExceeded, DomainError, SpecError
 
 from mpmath.libmp import fzero, mpi_add, mpi_log, mpi_mul
-from sympy import perfect_power
+from sympy import perfect_power, primerange
 
 # ---------------------------------------------------------------------------
 # rational serialization ("num/den" strings in all I/O)
@@ -56,77 +57,69 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
         raise SpecError(f"not a rational: {text!r}") from exc
 
 
-def format_rational(q: Fraction) -> str:
+def format_rational(q: Fraction | int) -> str:
+    """"num/den" or "num", exact at any size (str(int) stops at 4300 digits)."""
     q = Fraction(q)
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return str(Decimal(q.numerator))
+    return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
 
 
 # ---------------------------------------------------------------------------
-# primality and factoring (trial division, then Miller-Rabin with 13 fixed
-# bases, which proves primality only below 3317044064679887385961981: that
-# number is itself a strong pseudoprime to all 13 bases, and is accepted;
-# Pollard rho fallback for stray large cofactors)
+# primality and factoring.  Strong Fermat tests to the 13 prime bases 2..41
+# prove primality below 3317044064679887385961981, the least strong pseudoprime
+# to all of them (Sorenson-Webster 2017); at or above it is_prime refuses.
+# Brent's Pollard rho splits cofactors within _RHO_ITERATIONS per factoring.
 # ---------------------------------------------------------------------------
 
-_SMALL_PRIMES: list[int] = []
-
-
-def _sieve(limit: int) -> list[int]:
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, int(limit**0.5) + 1):
-        if flags[i]:
-            flags[i * i :: i] = b"\x00" * len(range(i * i, limit + 1, i))
-    return [i for i in range(limit + 1) if flags[i]]
-
-
-_SMALL_PRIMES = _sieve(10_000)
-_SMALL_SET = set(_SMALL_PRIMES)
-
-# Witness set proving primality for every n < 3317044064679887385961981.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SMALL_PRIMES = list(primerange(10_000))
+_MR_BASES = _SMALL_PRIMES[:13]
+_MR_PROOF_BOUND = 3317044064679887385961981
+_RHO_ITERATIONS = 1 << 22  # 16x the most 4 000 products of two 9-digit primes took
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic for n below 3.3e24 (fixed Miller-Rabin witness set);
-    the same witnesses act as a strong probabilistic test beyond that."""
+    """Whether n is prime, by trial division and a strong Fermat test to each
+    of the 13 bases: a proof below _MR_PROOF_BOUND.  An n at or above it that
+    passes all 13 cannot be proved prime, and raises BudgetExceeded."""
     if n < 2:
         return False
-    if n in _SMALL_SET:
-        return True
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
     for a in _MR_BASES:
-        if a % n == 0:
-            continue
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * d, d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
         x = pow(a, d, n)
-        if x in (1, n - 1):
+        if x == 1:
             continue
-        for _ in range(s - 1):
-            x = x * x % n
+        for _ in range(s):
             if x == n - 1:
                 break
+            x = x * x % n
         else:
             return False
+    if n >= _MR_PROOF_BOUND:
+        raise BudgetExceeded(
+            f"cannot prove {format_rational(n)} prime: 13 bases prove only n < {_MR_PROOF_BOUND}"
+        )
     return True
 
 
-def _pollard_rho(n: int) -> int:
-    # Brent's variant; n odd composite, no factor below the sieve limit.
-    if n % 2 == 0:
-        return 2
+def _pollard_rho(n: int, budget: int) -> tuple[int, int]:
+    """(proper factor of n, budget left) by Brent's rho, for n odd composite
+    and free of primes below 10^4.  Each round with step r costs 2r of the
+    budget up front; BudgetExceeded when the budget cannot pay for it."""
     rng = random.Random(0xBEEF ^ n)
     while True:
         y, c, m = rng.randrange(1, n), rng.randrange(1, n), 128
         g, r, q = 1, 1, 1
         while g == 1:
+            budget -= 2 * r
+            if budget < 0:
+                raise BudgetExceeded(
+                    f"cannot split {format_rational(n)} in {_RHO_ITERATIONS} rho iterations"
+                )
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -145,11 +138,12 @@ def _pollard_rho(n: int) -> int:
                 ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
         if g != n:
-            return g
+            return g, budget
 
 
 def factor_integer(n: int) -> dict[int, int]:
-    """Prime factorization of n != 0 as {p: multiplicity}, sign dropped."""
+    """Prime factorization of n != 0 as {p: multiplicity}, sign dropped.
+    BudgetExceeded if is_prime or _pollard_rho refuses a cofactor."""
     if n == 0:
         raise DomainError("cannot factor 0")
     n = abs(n)
@@ -162,7 +156,7 @@ def factor_integer(n: int) -> dict[int, int]:
             n //= p
     if n == 1:
         return out
-    stack = [(n, 1)]  # (cofactor, multiplicity it carries)
+    stack, budget = [(n, 1)], _RHO_ITERATIONS  # (cofactor, multiplicity it carries)
     while stack:
         m, k = stack.pop()
         if is_prime(m):
@@ -174,7 +168,7 @@ def factor_integer(n: int) -> dict[int, int]:
             base, exp = power
             stack.append((base, k * exp))
             continue
-        g = _pollard_rho(m)
+        g, budget = _pollard_rho(m, budget)
         stack.append((g, k))
         stack.append((m // g, k))
     return dict(sorted(out.items()))

@@ -421,8 +421,8 @@ class CriterionResult:
     def to_json(self) -> dict:
         return {
             "solvable": self.solvable,
-            "witness": None if self.witness is None else str(self.witness),
-            "value": str(self.value),
+            "witness": None if self.witness is None else format_rational(self.witness),
+            "value": format_rational(self.value),
         }
 
 

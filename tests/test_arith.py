@@ -23,7 +23,9 @@ from heightforge.arith import (
     support,
     vp_or_none,
 )
-from heightforge.errors import DomainError, SpecError
+from heightforge.errors import BudgetExceeded, DomainError, SpecError
+
+PSI_13 = 3317044064679887385961981  # = 1287836182261 * 2575672364521
 
 
 # -- rational parsing --------------------------------------------------------
@@ -61,12 +63,36 @@ def test_is_prime_large_random():
         assert is_prime(n) == sympy.isprime(n)
 
 
+def test_is_prime_proves_or_refuses():
+    # psi_9 and psi_12 are strong pseudoprimes to the first 9 and 12 prime
+    # bases, so a later base proves them composite; psi_13 passes all 13
+    psi_9, psi_12 = 3825123056546413051, 318665857834031151167461
+    assert not is_prime(psi_9) and not is_prime(psi_12)
+    rng = random.Random(203)
+    samples = [rng.randrange(10**15, PSI_13) for _ in range(200)]
+    samples += [sympy.nextprime(rng.randrange(10**15, PSI_13 // 2)) for _ in range(30)]
+    samples.append(sympy.prevprime(PSI_13))
+    for n in samples:
+        assert is_prime(n) == sympy.isprime(n)
+    for n in (PSI_13, sympy.nextprime(PSI_13)):  # composite or prime, not provable here
+        with pytest.raises(BudgetExceeded, match=f"cannot prove {n} prime"):
+            is_prime(n)
+    assert not is_prime(PSI_13 + 2)  # a base still refutes a composite above the bound
+    with pytest.raises(BudgetExceeded):
+        factor_integer(7 * PSI_13)
+    with pytest.raises(BudgetExceeded):
+        Place.finite(PSI_13)
+
+
 def test_factor_integer_matches_sympy():
     rng = random.Random(303)
     samples = [2, 3, 4, 12, 360, 2**20, 10**12 + 39]
     samples += [rng.randint(2, 10**12) for _ in range(40)]
     p, q = 100000007, 998244353  # nine-digit primes: powers of pq reach Pollard rho
     samples += [(p * q) ** 2, (p * q) ** 3]
+    samples += [rng.randint(2, 10**18) for _ in range(1000)]
+    primes = [sympy.nextprime(rng.randrange(10**8, 10**9 - 10**3)) for _ in range(40)]
+    samples += [a * b for a, b in zip(primes[::2], primes[1::2])]  # 20 rho splits
     for n in samples:
         mine = factor_integer(n)
         assert mine == dict(sympy.factorint(n))

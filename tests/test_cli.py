@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from heightforge import heights
+from heightforge import arith, heights
 from heightforge._acceptance import CRITERIA
 from heightforge.cli import main
 
@@ -22,6 +22,10 @@ FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 FAM2 = str(FIXTURES / "unicritical2.json")
 FAM4 = str(FIXTURES / "unicritical4.json")
 FAM632 = str(FIXTURES / "weighted632.json")
+# two 20-digit primes: past Pollard rho's iteration limit
+RHO_HARD = "300000000000000001940000000000000002091"
+# the least strong pseudoprime to all 13 Miller-Rabin bases: not provably prime
+PSI_13 = "3317044064679887385961981"
 
 
 def run_cli(capsys, *argv):
@@ -365,6 +369,43 @@ def test_subprocess_exit_codes():
         assert proc.returncode == 3, proc.stderr
         lo, hi = json.loads(proc.stdout)["error"]["best"]
         assert lo == 0.0 and math.isfinite(hi)
+    proc = _run_script("height", "--family", FAM2, "--t", f"1/{RHO_HARD}", "--z", "1/2",
+                       address_space=800 * 2**20)
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout)["error"]["kind"] == "budget"
+
+
+def test_unprovable_factoring_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(arith, "_RHO_ITERATIONS", 1 << 12)  # refuse RHO_HARD in ms
+    for argv in (
+        ("height", "--family", FAM2, "--t", "1", "--z", f"1/{RHO_HARD}"),
+        ("resultant", "--family", FAM2, "--t", f"1/{RHO_HARD}"),
+        ("obstruct", "--family", FAM2, "--t", f"1/{RHO_HARD}"),
+        ("certify", "--family", FAM2, "--t", "1/3", "--z", f"1/{RHO_HARD}"),
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 3 and out["error"]["kind"] == "budget", argv
+        assert out["error"]["message"] == f"cannot split {RHO_HARD} in 4096 rho iterations"
+    for argv in (
+        ("green", "--family", FAM2, "--t", "1/3", "--place", PSI_13, "--z", "1/3"),
+        ("certify", "--family", FAM2, "--t", f"1/{PSI_13}", "--z", "1/3"),
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 3 and out["error"]["kind"] == "budget", argv
+        assert out["error"]["message"].startswith(f"cannot prove {PSI_13} prime")
+
+
+def test_integers_past_str_digit_limit(capsys):
+    # outputs of 8 000 and more digits, past Python's int-to-str limit of 4 300
+    big = "1" + "0" * 4000
+    for argv in (
+        ("certify", "--family", FAM2, "--t", big, "--z", "0"),
+        ("resultant", "--family", FAM4, "--t", "1/" + big[:1001]),
+        ("criterion", "--d", "2", "--m", "5", "--t", big[:1001]),
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, argv
+    assert out["value"] == "1" + "0" * 4999 + "1"  # 10^5000 + 1
 
 
 def test_repro_battery(capsys):

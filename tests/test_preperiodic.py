@@ -324,6 +324,9 @@ def test_certify_height_interval_witness():
     assert last.numerator.bit_length() > preperiodic._ORBIT_BIT_CAP
     assert cert.orbit.naive_heights[-1] < specialized(Z2T, t).orbit_cutoff
     assert 0 < cert.hhat_lower_bound <= canonical_height(Z2T, t, Fraction(0), 1e-9).hi
+    js = cert.to_json()  # 120 001-digit orbit points, past Python's int-to-str limit
+    assert js["witness"] == "height-interval"
+    assert js["orbit"]["points"][1] == "1" + "0" * 60000
 
 
 def test_certificate_json():
