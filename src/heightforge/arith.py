@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -39,6 +40,24 @@ from sympy import perfect_power, primerange
 # ---------------------------------------------------------------------------
 
 
+_INT_STR_DIGITS = 4300  # the most digits int() reads from a text by default
+_MAX_INTEGER_DIGITS = 131_072  # one Linux command-line argument holds fewer
+_PLAIN_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_integer(text: str) -> int:
+    """int(text), reading a plain decimal integer past int()'s 4 300-digit
+    limit through Decimal, the route format_rational prints through.  A text
+    of more than _MAX_INTEGER_DIGITS digits is refused before it is converted,
+    as the conversion takes quadratic time; ValueError for a non-integer."""
+    s = text.strip()
+    if len(s.lstrip("+-")) > _MAX_INTEGER_DIGITS:
+        raise SpecError(f"integer text longer than {_MAX_INTEGER_DIGITS} digits")
+    if len(s) > _INT_STR_DIGITS and _PLAIN_INTEGER.fullmatch(s):
+        return int(Decimal(s))
+    return int(s)
+
+
 def parse_rational(text: str | int | Fraction) -> Fraction:
     """Parse a num/den string (den optional) into an exact Fraction."""
     if isinstance(text, Fraction):
@@ -51,8 +70,8 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
     try:
         if "/" in s:
             num, den = s.split("/", 1)
-            return Fraction(int(num.strip()), int(den.strip()))
-        return Fraction(int(s))
+            return Fraction(parse_integer(num), parse_integer(den))
+        return Fraction(parse_integer(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecError(f"not a rational: {text!r}") from exc
 
@@ -226,7 +245,7 @@ class Place:
         if s == "inf":
             return Place.archimedean()
         try:
-            p = int(s)
+            p = parse_integer(s)
         except ValueError as exc:
             raise SpecError(f"not a place: {text!r}") from exc
         return Place.finite(p)
@@ -406,13 +425,12 @@ class LogSum:
         )
         return f"LogSum({body})"
 
+    def terms_json(self) -> dict:
+        """{"p": "coeff"} for each term, in increasing p."""
+        return {str(p): format_rational(c) for p, c in sorted(self.terms.items())}
+
     def to_json(self) -> dict:
-        return {
-            "logTerms": {
-                str(p): format_rational(c) for p, c in sorted(self.terms.items())
-            },
-            "float": float(self),
-        }
+        return {"logTerms": self.terms_json(), "float": float(self)}
 
 
 def log_rational_exact(r: Fraction) -> LogSum:

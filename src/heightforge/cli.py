@@ -15,7 +15,7 @@ import os
 import sys
 from typing import Optional
 
-from .arith import INF, Place, parse_rational
+from .arith import INF, Place, parse_integer, parse_rational
 from .constants import resultant_bound_check, theorem1_constants
 from .errors import BudgetExceeded, DomainError, NormalizationUnavailable, SpecError
 from .family import CoverAnalysis, Family, analyze_cover, is_e_general
@@ -54,7 +54,7 @@ def _default_tol() -> float:
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=parse_integer)
     except OSError as exc:
         raise SpecError(f"cannot read spec file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -319,10 +319,7 @@ class ConstantsReport:
             "orbitBound": self.orbit_bound,
             "epsilon": self.epsilon.to_json(),
             "C": {
-                "numeratorLogTerms": {
-                    str(p): format_rational(cf)
-                    for p, cf in sorted(self.C_numerator.terms.items())
-                },
+                "numeratorLogTerms": self.C_numerator.terms_json(),
                 "denominator": f"2*{self.family.d}^{self.orbit_bound}",
                 "float": self.C_float(),
             },
@@ -412,8 +409,8 @@ def theorem1_constants(fam: Family, s: int) -> ConstantsReport:
 def model_resultant(fam: Family, t: Fraction) -> Fraction:
     """Resultant of the integral model of f_t on P^1, M^{2d} a_D^d.
 
-    Homogenize f_t to the pair [sum_j c_j x^{ej} w^{d-ej} : w^d]
-    (c_j = a_j t^{D-j}) and clear denominators by the lcm M of all c_j.  The
+    Homogenize f_t to the pair [sum_j b_j x^{ej} w^{d-ej} : w^d]
+    (b_j = a_j t^{D-j}) and clear denominators by the lcm M of all b_j.  The
     Sylvester resultant of the two integer forms at formal degrees (d, d) is
     the leading coefficient M a_D of the first, to the d-th power, times
     M^d from the second.
@@ -432,12 +429,8 @@ class ResultantBound:
     def to_json(self) -> dict:
         return {
             "resultant": format_rational(self.resultant),
-            "lhs": {
-                str(p): format_rational(c) for p, c in sorted(self.lhs.terms.items())
-            },
-            "rhs": {
-                str(p): format_rational(c) for p, c in sorted(self.rhs.terms.items())
-            },
+            "lhs": self.lhs.terms_json(),
+            "rhs": self.rhs.terms_json(),
             "lhsFloat": float(self.lhs),
             "rhsFloat": float(self.rhs),
             "ok": self.ok,

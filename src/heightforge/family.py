@@ -211,46 +211,33 @@ def specialize(fam: Family, t: Fraction) -> Coeffs:
 
 
 class _FiniteGreenData:
-    """Per-(family, t, p) data for the finite-place Green algorithms.
+    """Per-(family, t, p) data for the finite-place Green algorithms, read
+    from the form coefficients b = (b_0, ..., b_D) of f_t(z) = sum_j b_j z^(e j).
 
     `theta` is the escape threshold: z lies in the escape region at p
     exactly when v(z) < theta, where
-    theta = min(-v(c_d)/(d-1), min over i < d with c_i != 0 of
-    (v(c_i) - v(c_d))/(d - i)).  Below it the top term strictly dominates
-    and v(f(z)) = v(c_d) + d v(z) < v(z), so both persist along the orbit.
+    theta = min(-v(b_D)/(d-1), min over j < D with b_j != 0 of
+    (v(b_j) - v(b_D))/(d - e j)).  Below it the top term strictly dominates
+    and v(f(z)) = v(b_D) + d v(z) < v(z), so both persist along the orbit.
     """
 
-    def __init__(self, cs, d: int, p: int):
-        self.d = d
+    def __init__(self, b: Coeffs, e: int, p: int):
+        self.e = e
+        self.d = d = e * (len(b) - 1)
         self.p = p
-        self.vc = [vp_or_none(c, p) for c in cs]
-        self.v_lead = self.vc[-1]
+        self.vb = [vp_or_none(c, p) for c in b]  # None for b_j = 0
+        self.v_lead = self.vb[-1]
+        terms = [(e * j, v) for j, v in enumerate(self.vb) if v is not None]
         self.theta = min(
             [Fraction(-self.v_lead, d - 1)]
-            + [Fraction(v - self.v_lead, d - i)
-               for i, v in enumerate(self.vc[:-1]) if v is not None]
+            + [Fraction(v - self.v_lead, d - i) for i, v in terms[:-1]]
         )
-        # invariant-disk feasibility window [rho_lo, rho_hi]
-        rho_lo = Fraction(0)
-        rho_hi: Optional[Fraction] = None
-        feasible = True
-        for i, v in enumerate(self.vc[:-1]):
-            if v is None:
-                continue
-            if i == 0:
-                rho_hi = Fraction(v) if rho_hi is None else min(rho_hi, Fraction(v))
-            elif i == 1:
-                feasible = feasible and v >= 0
-            elif v < 0:
-                rho_lo = max(rho_lo, Fraction(-v, i - 1))
-        if self.v_lead < 0:
-            rho_lo = max(rho_lo, Fraction(-self.v_lead, d - 1))
-        if rho_hi is not None and rho_lo > rho_hi:
-            feasible = False
-        self.disk_feasible = feasible
-        self.rho_lo = rho_lo
+        # the disk {v >= rho} is invariant when v(b_0) >= rho and
+        # v(b_j) >= (1 - e j) rho for j >= 1: rho_lo <= rho <= v(b_0)
+        self.rho_lo = max([Fraction(0)] + [Fraction(-v, i - 1) for i, v in terms if i and v < 0])
+        self.disk_feasible = self.vb[0] is None or self.rho_lo <= self.vb[0]
         # upper-bound constant in valuation units
-        self.c_up = max([Fraction(0)] + [Fraction(-v) for v in self.vc if v is not None])
+        self.c_up = max([Fraction(0)] + [Fraction(-v) for _, v in terms])
 
     @cached_property
     def log_p(self) -> Interval:
@@ -274,19 +261,20 @@ class _FiniteGreenData:
 
 
 class SpecializedMap:
-    """f_t(z) = F(z^e, t) for one family and parameter: the coefficients `cs`
-    (constant first), evaluation by calling the map, and each fact the local
-    and global algorithms read about f_t, computed once on first use.  Build
-    maps through the memoized `specialized`."""
+    """f_t(z) = F(z^e, t) = sum_j b_j z^(e j) for one family and parameter:
+    the D + 1 form coefficients `ze_coeffs` = (b_0, ..., b_D), b_j = a_j t^(D-j),
+    constant first (unlike `Family.form`), evaluation by calling the map, and
+    each fact the local and global algorithms read about f_t, computed once
+    on first use.  Build maps through the memoized `specialized`."""
 
     def __init__(self, fam: Family, t: Fraction):
         self.t = t
-        self.d = fam.d
-        self.cs = specialize(fam, t)
+        self.e, self.d = fam.e, fam.d
+        self.ze_coeffs = specialize(fam, t)[:: fam.e]
         self._green_data: dict[int, _FiniteGreenData] = {}
 
     def __call__(self, z: Fraction) -> Fraction:
-        return _polys.evaluate(self.cs, z)
+        return _polys.evaluate(self.ze_coeffs, z**self.e)
 
     def orbit(self, z: Fraction) -> Iterator[tuple[Fraction, int]]:
         """The exact orbit z_0 = z, z_1 = f_t(z_0), ... as pairs (z_n, j),
@@ -302,27 +290,27 @@ class SpecializedMap:
 
     @cached_property
     def integral_model(self) -> tuple[Coeffs, int]:
-        """(M f_t, M) with M the lcm of the coefficient denominators."""
-        return _polys.clear_denominators(self.cs)
+        """(M b, M) with M the lcm of the coefficient denominators."""
+        return _polys.clear_denominators(self.ze_coeffs)
 
     @cached_property
     def tail_sum(self) -> Fraction:
-        """T = sum_{i<d} |c_i| / |c_d|."""
-        return sum(abs(c) for c in self.cs[:-1]) / abs(self.cs[-1])
+        """T = sum_{j<D} |b_j| / |b_D|."""
+        return sum(abs(c) for c in self.ze_coeffs[:-1]) / abs(self.ze_coeffs[-1])
 
     @cached_property
     def escape_radius(self) -> Fraction:
         """Beyond this |f(w)| >= gamma |w| with gamma > 1: the orbit escapes."""
-        return max(Fraction(1), 2 * self.tail_sum, 2 / abs(self.cs[-1]))
+        return max(Fraction(1), 2 * self.tail_sum, 2 / abs(self.ze_coeffs[-1]))
 
     @cached_property
     def arch_log_terms(self) -> tuple[Interval, Interval]:
-        """Enclosures of C/(d-1) with C = log max(1, sum |c_i|), the growth
-        constant of the archimedean bounded exit, and of log|c_d|/(d-1), the
+        """Enclosures of C/(d-1) with C = log max(1, sum |b_j|), the growth
+        constant of the archimedean bounded exit, and of log|b_D|/(d-1), the
         lead term of its escape exit."""
         d = self.d
-        c_up = log_interval(max(Fraction(1), sum(abs(c) for c in self.cs)))
-        lead = log_interval(abs(self.cs[-1]))
+        c_up = log_interval(max(Fraction(1), sum(abs(c) for c in self.ze_coeffs)))
+        lead = log_interval(abs(self.ze_coeffs[-1]))
         return c_up.scale(Fraction(1, d - 1)), lead.scale(Fraction(1, d - 1))
 
     @cached_property
@@ -354,7 +342,7 @@ class SpecializedMap:
 
     def bad_primes(self, z: Fraction) -> tuple[int, ...]:
         """The sorted primes of M and of den z: the only primes at which the
-        orbit of z can leave Z_p.  At any other prime every c_i is p-integral,
+        orbit of z can leave Z_p.  At any other prime every b_j is p-integral,
         so the escape threshold is <= 0 and the p-integral orbit never
         escapes.  A den z made of M's primes is not factored at all."""
         primes, m_primes = self.factor(z.denominator).keys(), self.denominator_factors.keys()
@@ -371,7 +359,7 @@ class SpecializedMap:
         """The finite-place Green data at p, built once per prime."""
         data = self._green_data.get(p)
         if data is None:
-            data = self._green_data[p] = _FiniteGreenData(self.cs, self.d, p)
+            data = self._green_data[p] = _FiniteGreenData(self.ze_coeffs, self.e, p)
         return data
 
 

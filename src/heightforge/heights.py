@@ -2,51 +2,51 @@
 canonical heights as intervals, pair (Arakelov-style) Green functions, and the
 local height / conductor diagnostics lambda, N_{a,S}, L1, L2.
 
-Conventions.  For a specialized map f(z) = sum c_i z^i of degree d >= 2 and a
-place v of Q (a `family.SpecializedMap`, which holds the coefficients, the
-escape radius R_esc and tail sum T, and the per-prime data used below), the
-local Green's function is
+Conventions.  For a specialized map f(z) = F(z^e, t) = sum_j b_j z^(e j) of
+degree d = e D >= 2 and a place v of Q (a `family.SpecializedMap`, which holds
+the D + 1 form coefficients b_j = a_j t^(D-j), the escape radius R_esc and
+tail sum T, and the per-prime data used below), the local Green's function is
 
     G_v(z) = lim_n  d^{-n} log+ |f^n(z)|_v  >= 0.
 
 Every algorithm below is generic in the coefficients (monic is not assumed):
 
 * finite v = p, escape: if v_p(w) is below the map's threshold theta_p, so
-  that the top term strictly dominates -- (d - i) v(w) < v(c_i) - v(c_d) for
-  every i < d with c_i != 0 -- and v(f(w)) = v(c_d) + d v(w) < v(w), both
+  that the top term strictly dominates -- (d - e j) v(w) < v(b_j) - v(b_D)
+  for every j < D with b_j != 0 -- and v(f(w)) = v(b_D) + d v(w) < v(w), both
   conditions persist along the orbit, so the valuation recursion
-  v(z_{m+1}) = v(c_d) + d v(z_m) is exact forever and the limit collapses to
+  v(z_{m+1}) = v(b_D) + d v(z_m) is exact forever and the limit collapses to
   the closed form
-  G = d^{-n} (-v(z_n) - v(c_d)/(d-1)) log p, an exact rational multiple of
+  G = d^{-n} (-v(z_n) - v(b_D)/(d-1)) log p, an exact rational multiple of
   log p.
 * finite v = p, bounded: a disk {v >= rho} with rho >= 0 is f-invariant as
-  soon as v(c_0) >= rho, v(c_1) >= 0, and v(c_i) >= (1-i) rho for i >= 2
+  soon as v(b_0) >= rho and v(b_j) >= (1 - e j) rho for j >= 1
   (ultrametric term bound).  If the orbit enters a feasible disk, G = 0
   exactly; an exact repetition of the rational orbit also forces G = 0.
 * finite v = p, interval: log+ |f(w)|_p <= d log+ |w|_p + C_p with
-  C_p = max(0, -min_i v(c_i)) log p, so G <= d^{-n}(log+ |z_n|_p + C_p/(d-1))
+  C_p = max(0, -min_j v(b_j)) log p, so G <= d^{-n}(log+ |z_n|_p + C_p/(d-1))
   and G >= 0; the upper bound decays geometrically, giving an enclosure of
   any prescribed width for orbits that stay bounded without certification.
-* archimedean, escape: for |w| > R_esc = max(1, 2T, 2/|c_d|) with
-  T = sum_{i<d} |c_i| / |c_d|, writing log|f(w)| = d log|w| + log|c_d| + eta
+* archimedean, escape: for |w| > R_esc = max(1, 2T, 2/|b_D|) with
+  T = sum_{j<D} |b_j| / |b_D|, writing log|f(w)| = d log|w| + log|b_D| + eta
   with |eta| <= -log(1 - T/|w|), the orbit grows monotonically and
-  G = d^{-n}(log|z_n| + log|c_d|/(d-1)) +- d^{-n} eps_n/(d-1) with
+  G = d^{-n}(log|z_n| + log|b_D|/(d-1)) +- d^{-n} eps_n/(d-1) with
   eps_n = -log(1 - T/|z_n|) shrinking doubly exponentially.
 * archimedean, bounded: log+|f(w)| <= d log+|w| + C with
-  C = log max(1, sum|c_i|), giving the same geometric interval exit.
+  C = log max(1, sum|b_j|), giving the same geometric interval exit.
 
 At finite places the orbit is read from `SpecializedMap.orbit`, the one
 exact orbit of the package (with its repeat detection), while the rationals
 stay small, then carried on in windowed p-adic arithmetic with
 restart-on-precision-loss; both phases share one copy of the escape, disk,
-interval and budget exits.  The archimedean place carries z_n as a libmp
-endpoint pair at an explicit working precision (Horner steps rounded
-outward), restarting at twice the precision once the relative width of
-|z_n| passes 1e-10.  Its exits read |z_n| as two mpf endpoints rounded
-outward to 53 bits: the escape test against R_esc compares bit lengths and
-turns |z_n| into a (small) rational only inside R_esc's bit window, and
-T/|z_n|, log(1 - T/|z_n|) and log|z_n| are libmp operations with directed
-rounding.  So no rational of d^n bits is ever built, and a tol below the
+interval and budget exits.  Every orbit step is Horner's rule over b in z^e.
+The archimedean place carries z_n as a libmp endpoint pair at an explicit
+working precision (Horner steps rounded outward), restarting at twice the
+precision once the relative width of |z_n| passes 1e-10.  Its exits read
+|z_n| as two mpf endpoints rounded outward to 53 bits: the escape test
+against R_esc compares bit lengths and turns |z_n| into a (small) rational
+only inside R_esc's bit window, and T/|z_n|, log(1 - T/|z_n|) and log|z_n|
+are libmp operations with directed rounding.  So no rational of d^n bits is ever built, and a tol below the
 float resolution of G runs to the step budget in bounded memory.
 
 Filter, then certify.  The interval and escape exits above are certified
@@ -152,20 +152,22 @@ __all__ = [
 def height_defect_bound(fam: Family, t: Fraction) -> float:
     """A constant C_f >= 0 with |h(f_t(w)) - d h(w)| <= C_f for all rational w.
 
-    Upper direction: clearing denominators to integer coefficients C_i with
-    multiplier L, |N(x,y)| <= (sum |C_i|) max(|x|,|y|)^d and the denominator
-    form is L y^d, so h(f(w)) <= d h(w) + log max(sum|C_i|, L).
+    Upper direction: clearing the form coefficients b_j to integers C_j = L b_j
+    with multiplier L, N(x, y) = sum_j C_j x^(e j) y^(d - e j) has
+    |N(x,y)| <= (sum |C_j|) max(|x|,|y|)^d and the denominator form is L y^d,
+    so h(f(w)) <= d h(w) + log max(sum|C_j|, L).
 
-    Lower direction: with R = L^d |C_d|^d (the resultant of N and L y^d up to
-    sign; C_d = L a_D != 0), two Bezout identities A N + B (L y^d) = R y^{2d-1}
+    Lower direction: with R = L^d |C_D|^d (the resultant of N and L y^d up to
+    sign; C_D = L a_D != 0), two Bezout identities A N + B (L y^d) = R y^{2d-1}
     and = R x^{2d-1}, with A, B forms of degree d - 1, have closed forms:
 
     * the first is (R/L) y^{d-1} (L y^d) = R y^{2d-1}: A = 0, B = R/L, so its
       largest cofactor coefficient is K1 = R/L;
     * the second, written in u = y/x with the reversed polynomial
-      C*(u) = sum_i C_{d-i} u^i (C*(0) = C_d), needs A C* = R mod u^d, so
-      A = R / C* mod u^d is a power-series inverse, and then
-      B_k = -(A C*)_{d+k} / L for k < d; K2 is the largest |A_j|, |B_k|.
+      C*(u) = sum_k C_{D-k} u^(e k), a series in v = u^e, needs
+      A C* = R mod u^d, so A = R / C* mod v^D is a power-series inverse in v,
+      and B_m = -(A C*)_{D+m} / L for m < D (the coefficients of A and B off
+      the powers of v are 0); K2 is the largest |A_j|, |B_m|.
 
     With H = max(|x|,|y|), the first identity applies where |y| = H and the
     second where |x| = H; each gives max(|N|, L|y|^d) >= R H^d / (2 d K) for
@@ -174,17 +176,17 @@ def height_defect_bound(fam: Family, t: Fraction) -> float:
     A point may fall under either identity, so the constant charges
     log(2 d R max(K1, K2)).
     """
-    C, L = specialized(fam, t).integral_model  # integer coefficients
-    d = fam.d
+    C, L = specialized(fam, t).integral_model  # integer form coefficients
+    d, D = fam.d, fam.deg_form
     if L == 1 and abs(C[-1]) == 1 and all(c == 0 for c in C[:-1]):
         return 0.0  # pure +-z^d: h(f(w)) = d h(w) exactly
     upper_arg = max(sum(abs(c) for c in C), Fraction(L))
     R = (L * abs(C[-1])) ** d
-    rev = C[::-1]  # C*
+    rev = C[::-1]  # C* in v
     A = [R / rev[0]]
-    for k in range(1, d):
+    for k in range(1, D):
         A.append(-sum(rev[i] * A[k - i] for i in range(1, k + 1)) / rev[0])
-    B = [-sum(A[i] * rev[d + k - i] for i in range(k, d)) / L for k in range(d)]
+    B = [-sum(A[i] * rev[D + k - i] for i in range(k, D)) / L for k in range(D)]
     lower_arg = 2 * d * R * max(R / L, max(abs(c) for c in A + B))
     return log_interval(max(upper_arg, lower_arg, Fraction(1))).hi
 
@@ -239,7 +241,7 @@ def _log2_floor(q: Fraction) -> int:
 def _finite_green(
     fmap: SpecializedMap, p: int, z: Fraction, tol: float, budget: int
 ) -> GreenResult:
-    cs, data = fmap.cs, fmap.green_data(p)
+    b, e, data = fmap.ze_coeffs, fmap.e, fmap.green_data(p)
     log_p = data.log_p
 
     def exit_at(vw: Optional[int], n: int, repeat: bool = False) -> Optional[GreenResult]:
@@ -278,16 +280,19 @@ def _finite_green(
     for _ in range(_MAX_RESTARTS):
         try:
             x = PAdic.from_fraction(w, p, vp_or_none(w, p) + rel)
-            cs_p = [PAdic.from_fraction(c, p, (vp_or_none(c, p) or 0) + rel) for c in cs]
+            b_p = [PAdic.from_fraction(c, p, (vp_or_none(c, p) or 0) + rel) for c in b]
             for m in itertools.count(n):
                 if x.is_zeroish and not data.in_disk(x.abs_prec):
                     raise PrecisionLoss("zeroish value below disk threshold")
                 res = exit_at(x.valuation_exact(), m)
                 if res is not None:
                     return res
-                acc = cs_p[-1]
-                for c in reversed(cs_p[:-1]):
-                    acc = acc * x + c
+                x_e = x
+                for _ in range(e - 1):
+                    x_e = x_e * x
+                acc = b_p[-1]
+                for c in reversed(b_p[:-1]):
+                    acc = acc * x_e + c
                 x = acc
         except PrecisionLoss:
             rel *= 2
@@ -319,7 +324,7 @@ def _mpf_exceeds(x, q: Fraction, q_bits: int) -> bool:
 
 
 def _arch_green(fmap: SpecializedMap, z: Fraction, tol: float, budget: int) -> GreenResult:
-    cs, d = fmap.cs, fmap.d
+    b, e, d = fmap.ze_coeffs, fmap.e, fmap.d
     head, lead_term = fmap.arch_log_terms
     radius = fmap.escape_radius
     radius_bits = radius.numerator.bit_length() - radius.denominator.bit_length()
@@ -346,9 +351,7 @@ def _arch_green(fmap: SpecializedMap, z: Fraction, tol: float, budget: int) -> G
     for _ in range(_MAX_RESTARTS):
         with iv_prec(prec) as wp:
             z_iv = iv_from_fraction(z, wp)
-            # Horner's rule; adding a zero coefficient would only re-round an
-            # endpoint already at wp bits, so those additions are left out
-            cs_iv = [iv_from_fraction(c, wp) if c else None for c in cs]
+            b_iv = [iv_from_fraction(c, wp) for c in b]
             n = 0
             restart = False
             while n <= budget and not restart:
@@ -395,11 +398,13 @@ def _arch_green(fmap: SpecializedMap, z: Fraction, tol: float, budget: int) -> G
                     if to_float53(mpf_div(width, scale, 53, round_nearest)) > 1e-10:
                         restart = True
                         continue
-                acc = cs_iv[-1]
-                for c in reversed(cs_iv[:-1]):
-                    acc = mpi_mul(acc, z_iv, wp)
-                    if c is not None:
-                        acc = mpi_add(acc, c, wp)
+                # Horner's rule in z^e; adding b_j = 0 changes nothing, as the
+                # endpoints it is added to already have wp bits
+                acc = b_iv[-1]
+                for c in reversed(b_iv[:-1]):
+                    for _ in range(e):
+                        acc = mpi_mul(acc, z_iv, wp)
+                    acc = mpi_add(acc, c, wp)
                 z_iv = acc
                 n += 1
             if not restart:
@@ -501,7 +506,7 @@ def _canonical_global(fam: Family, t: Fraction, z: Fraction, tol: float) -> Inte
         + z.denominator.bit_length()
         + max(
             c.numerator.bit_length() + c.denominator.bit_length()
-            for c in fmap.cs
+            for c in fmap.ze_coeffs
         )
     )
     if base_bits * d**n_steps > 4_000_000:

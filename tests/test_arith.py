@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from heightforge import arith
 from heightforge.arith import (
     INF,
     LocalValue,
@@ -46,6 +47,27 @@ def test_parse_rational_rejects_garbage():
     for bad in ["", "1/0", "x", "1.5.2", "2/3/4", True, False, 2.5]:
         with pytest.raises(SpecError):
             parse_rational(bad)
+
+
+def test_parse_integers_past_the_str_digit_limit():
+    # int() reads at most 4 300 digits of text; a longer plain decimal integer
+    # is read through Decimal, so every printed rational reads back
+    for n in (10**4299 + 7, 1 - 10**4300, 10**4300, 7 * 10**20000 + 3):
+        assert parse_rational(format_rational(n)) == n
+        assert parse_rational(f" {format_rational(n)} / 3") == Fraction(n, 3)
+        assert parse_rational(f"3/{format_rational(n)}") == Fraction(3, n)
+    assert parse_rational("+" + "9" * 5000) == 10**5000 - 1
+    assert Place.parse("0" * 5000 + "7") == Place.finite(7)
+    # a long text that is not a plain decimal integer is still malformed
+    for bad in ("1_" + "0" * 5000, "1" * 5000 + "x", "1" * 5000 + ".0"):
+        with pytest.raises(SpecError, match="not a rational"):
+            parse_rational(bad)
+    # past the cap a text is refused before it is converted
+    huge = "1" * (arith._MAX_INTEGER_DIGITS + 1)
+    for call in (lambda: parse_rational(huge), lambda: parse_rational("1/-" + huge),
+                 lambda: Place.parse(huge)):
+        with pytest.raises(SpecError, match="longer than"):
+            call()
 
 
 # -- primes and factoring ----------------------------------------------------

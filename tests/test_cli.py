@@ -11,6 +11,7 @@ import pathlib
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -406,6 +407,29 @@ def test_integers_past_str_digit_limit(capsys):
         code, out = run_cli(capsys, *argv)
         assert code == 0, argv
     assert out["value"] == "1" + "0" * 4999 + "1"  # 10^5000 + 1
+
+
+def test_integer_inputs_past_str_digit_limit(capsys, tmp_path):
+    # a 4 400-digit parameter certifies, and a printed 8 001-digit orbit point
+    # reads back as --z
+    code, _ = run_cli(capsys, "certify", "--family", FAM2, "--t", "1" + "0" * 4400, "--z", "0")
+    assert code == 0
+    t = "1" + "0" * 4000
+    code, out = run_cli(capsys, "certify", "--family", FAM2, "--t", t, "--z", "0")
+    point = out["orbit"]["points"][2]  # 10^8000 + 10^4000
+    assert code == 0 and len(point) == 8001
+    code, out = run_cli(capsys, "certify", "--family", FAM2, "--t", t, "--z", point)
+    assert code == 0 and out["orbit"]["points"][0] == point
+    # a spec coefficient far past the digit cap, as a string or a JSON number,
+    # is refused before it is converted (which would take about a minute)
+    spec = tmp_path / "fam.json"
+    digits = "1" * (10 * arith._MAX_INTEGER_DIGITS)
+    for coeff in (f'"{digits}"', digits):
+        spec.write_text('{"e": 2, "F": ["1", %s]}' % coeff)
+        start = time.monotonic()
+        code, out = run_cli(capsys, "height", "--family", str(spec), "--t", "1", "--z", "0")
+        assert time.monotonic() - start < 1
+        assert code == 1 and out["error"]["kind"] == "spec"
 
 
 def test_repro_battery(capsys):

@@ -118,11 +118,14 @@ def test_specialized_map(monkeypatch):
     fmap = specialized(fam, t)
     assert specialized(fam, t) is fmap
     cs = (Fraction(1, 8), 0, Fraction(-9, 4), 0, Fraction(1, 2))
-    assert fmap.cs == specialize(fam, t) == cs
+    assert specialize(fam, t) == cs
+    # the form coefficients b_j = a_j t^(D-j) of z^(e j), the dense list's every e-th
+    assert fmap.ze_coeffs == cs[::2]
     assert fmap(Fraction(5, 7)) == P.evaluate(cs, Fraction(5, 7))
-    assert fmap.integral_model == ((1, 0, -18, 0, 4), 8)
+    assert P.clear_denominators(cs) == ((1, 0, -18, 0, 4), 8)
+    assert fmap.integral_model == ((1, -18, 4), 8)
     assert fmap.tail_sum == Fraction(19, 4)
-    assert fmap.escape_radius == Fraction(19, 2)  # max(1, 2T, 2/|c_4|)
+    assert fmap.escape_radius == Fraction(19, 2)  # max(1, 2T, 2/|b_2|)
     assert fmap.denominator_primes == (2,)
     assert fmap.green_data(2) is fmap.green_data(2)
     # a point's bad primes: M's, plus those of the part of den z prime to M
@@ -133,17 +136,20 @@ def test_specialized_map(monkeypatch):
     assert fmap.bad_primes(Fraction(1, 60)) == (2, 3, 5) and factored == [15]
 
     # the exact orbit with first-occurrence indices: z^2 - 1 from 0 repeats at z_2
-    minus_one = specialized(build_family([1, 1], 2), Fraction(-1))
+    z2 = build_family([1, 1], 2)
+    minus_one = specialized(z2, Fraction(-1))
     assert list(itertools.islice(minus_one.orbit(Fraction(0)), 3)) == [(0, 0), (-1, 1), (0, 0)]
     # lazy: one evaluation per point after z_0, none ahead of the request
     calls = []
     evaluate = P.evaluate
     monkeypatch.setattr(P, "evaluate", lambda cs, z: calls.append(z) or evaluate(cs, z))
     orbit = minus_one.orbit(Fraction(1, 3))  # wandering
+    points = []
     for n in range(6):
         w, first = next(orbit)
         assert first == n and len(calls) == n
-    assert w == evaluate(minus_one.cs, calls[-1])
+        points.append(w)
+    assert w == evaluate(specialize(z2, Fraction(-1)), points[-2])
 
 
 def test_monic_normalize_identity_for_monic():

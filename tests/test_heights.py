@@ -238,6 +238,7 @@ def test_green_rejects_bad_tol():
 Z3T = build_family([1, 1], 3)
 Z6 = build_family([1, -3, 1], 3)  # z^6 - 3t z^3 + t^2
 NONMONIC = build_family([3, 1], 2)  # 3z^2 + t
+Z4T2 = build_family([1, 0, 1], 2)  # z^4 + t^2: F = X^2 + Y^2 has a_1 = 0
 TINY = Fraction(1, 10**400)
 
 # (family, t, place, z, tol, budget, to_json() or the BudgetExceeded's best/steps),
@@ -273,6 +274,11 @@ GREEN_PINS = [
     (Z2T, "1/4", "2", "3/2", 1e-30, 5, {"best": (0.0, 0.03249127408874744), "steps": 6}),
     (Z2T, "5/36", "2", "7/2", 1e-30, 20, {"best": (0.0, 9.915549953841382e-07), "steps": 21}),
     (NONMONIC, "-7/2", "2", "1/3", 1e-09, None, {"value_lo": 0.34657359027997253, "value_hi": 0.34657359027997275, "mode": "exact-escape", "place": None, "steps": 1, "exact": {"coeff": "1/2", "prime": 2}}),
+    # a zero form coefficient: Horner in z^e adds b_1 = 0 exactly
+    (Z4T2, "-1/2", "inf", "1/3", 1e-09, None, {"value_lo": 0.0, "value_hi": 2.770915022917215e-10, "mode": "interval", "place": None, "steps": 14}),
+    (Z4T2, "-3/4", "inf", "1/2", 1e-09, None, {"value_lo": 0.0005122324001951743, "value_hi": 0.0005122324001951751, "mode": "interval", "place": None, "steps": 8}),
+    (Z4T2, "-1/2", "inf", "1/3", 1e-30, 3, {"best": (0.0, 0.0011622059964281767), "steps": 4}),
+    (Z6, "1/3", "inf", "1/2", 1e-09, None, {"value_lo": 0.0, "value_hi": 4.119186688384933e-10, "mode": "interval", "place": None, "steps": 11}),
 ]
 
 

@@ -12,9 +12,11 @@ from hypothesis import given, settings, strategies as st
 from heightforge import arith, family
 from heightforge.arith import INF, Place, padic_valuation, support, vp_or_none
 from heightforge.constants import _mk_c, exceptional_places, pigeonhole_delta, theorem1_constants
-from heightforge.errors import DomainError
+from heightforge._intervals import Interval
+from heightforge.errors import BudgetExceeded, DomainError
 from heightforge.family import analyze_cover, build_family, specialized
 from heightforge.heights import (
+    GreenResult,
     _naive_height_interval,
     arakelov_green,
     canonical_height,
@@ -91,9 +93,10 @@ def test_orbit_json_shape():
 
 def _reference_escaped(data, vw):
     """The escape region at data.p, one coefficient at a time: every lower
-    term strictly below the top one, and v(f(w)) = v(c_d) + d v(w) < v(w)."""
-    for i, v in enumerate(data.vc[:-1]):
-        if v is not None and (data.d - i) * vw >= v - data.v_lead:
+    term b_j z^(e j) strictly below the top one, and
+    v(f(w)) = v(b_D) + d v(w) < v(w)."""
+    for j, v in enumerate(data.vb[:-1]):
+        if v is not None and (data.d - data.e * j) * vw >= v - data.v_lead:
             return False
     return data.v_lead + data.d * vw < vw
 
@@ -107,8 +110,9 @@ def _reference_denominator_cap(data):
 
 
 def _coefficient_primes(fmap):
-    """The primes of every coefficient's numerator and denominator."""
-    return {p for c in fmap.cs if c != 0 for p in support(c)}
+    """The primes of every coefficient's numerator and denominator (the
+    nonzero coefficients of f_t are its form coefficients b_j)."""
+    return {p for c in fmap.ze_coeffs if c != 0 for p in support(c)}
 
 
 def _reference_escape_place(fmap, w):
@@ -327,6 +331,73 @@ def test_certify_height_interval_witness():
     js = cert.to_json()  # 120 001-digit orbit points, past Python's int-to-str limit
     assert js["witness"] == "height-interval"
     assert js["orbit"]["points"][1] == "1" + "0" * 60000
+
+
+def _orbits_without_cutoff(monkeypatch):
+    """Make certify_point's orbits run with an infinite height cutoff, so no
+    escape is certified; returns the step budgets asked for and the records
+    made, in order."""
+    budgets, records = [], []
+    real_orbit = preperiodic.iterate_orbit
+
+    def orbit(fam, t, z, steps):
+        budgets.append(steps)
+        records.append(real_orbit(fam, t, z, steps, height_cutoff=math.inf))
+        return records[-1]
+
+    monkeypatch.setattr(preperiodic, "iterate_orbit", orbit)
+    return budgets, records
+
+
+def _first_undecided(k, tols, wrap=lambda enc: enc):
+    """A stand-in for canonical_height, or with wrap=_green for local_green:
+    its first k enclosures touch 0 and each later one is [1/4, 1/2].  It
+    records the tol of every call."""
+    def fn(*args, **kwargs):
+        tols.append(kwargs.get("tol", args[-1]))
+        return wrap(Interval(0.0 if len(tols) <= k else 0.25, 0.5))
+    return fn
+
+
+def _green(enc):
+    return GreenResult(enc, "interval", 0)
+
+
+def test_positive_green_bound_retries(monkeypatch):
+    # t = 1/3 is obstructed at 3, so certify_point asks for a positive bound
+    # on G_3(1/2), quartering the tol while the enclosure touches 0
+    _, records = _orbits_without_cutoff(monkeypatch)
+    tols = []
+    monkeypatch.setattr(preperiodic, "local_green", _first_undecided(1, tols, _green))
+    cert = certify_point(Z2T, Fraction(1, 3), Fraction(1, 2))
+    assert tols == [1e-6, 2.5e-7]
+    assert cert.witness == Place.finite(3) and cert.hhat_lower_bound == 0.25
+    assert cert.orbit is records[-1]
+    tols.clear()
+    monkeypatch.setattr(preperiodic, "local_green", _first_undecided(math.inf, tols, _green))
+    with pytest.raises(BudgetExceeded, match="could not separate"):
+        certify_point(Z2T, Fraction(1, 3), Fraction(1, 2))
+    assert len(tols) == 80
+
+
+def test_certify_point_retries(monkeypatch):
+    # t = 1 is obstructed nowhere and the orbit of 1/2 certifies no escape,
+    # so canonical_height decides each round: the step budget doubles and the
+    # tol halves while its enclosure touches 0
+    budgets, records = _orbits_without_cutoff(monkeypatch)
+    tols = []
+    monkeypatch.setattr(preperiodic, "canonical_height", _first_undecided(1, tols))
+    cert = certify_point(Z2T, Fraction(1), Fraction(1, 2))
+    assert budgets == [32, 64] and tols == [1e-4, 5e-5]
+    assert [type(r.event) for r in records] == [OrbitTruncated] * 2
+    assert cert.witness == "height-interval" and cert.hhat_lower_bound == 0.25
+    assert cert.orbit is records[1]  # the round that decided
+    budgets.clear()
+    tols.clear()
+    monkeypatch.setattr(preperiodic, "canonical_height", _first_undecided(math.inf, tols))
+    with pytest.raises(BudgetExceeded, match="resisted"):
+        certify_point(Z2T, Fraction(1), Fraction(1, 2))
+    assert len(tols) == 24 and budgets == [32 * 2**k for k in range(24)]
 
 
 def test_certificate_json():
