@@ -104,11 +104,9 @@ class PAdic:
         assert self.p == other.p
         p = self.p
         if self.is_zeroish or other.is_zeroish:
-            # v(xy) >= abs_prec(zero part) + k(other part)
-            if self.is_zeroish and other.is_zeroish:
-                return PAdic.zero_to(p, self.k + other.k)
-            z, nz = (self, other) if self.is_zeroish else (other, self)
-            return PAdic.zero_to(p, z.k + nz.k)
+            # v(xy) >= abs_prec(zero part) + k(other part), and a zero's k
+            # is its abs_prec
+            return PAdic.zero_to(p, self.k + other.k)
         m = min(self.m, other.m)
         if m < _MIN_REL:
             raise PrecisionLoss("relative precision exhausted in product")

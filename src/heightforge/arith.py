@@ -1,7 +1,7 @@
 """Exact local arithmetic over Q.
 
-Places of Q, p-adic valuations, supports, Newton polygons, and the two value
-representations used everywhere else:
+Places of Q, p-adic valuations, supports, least root valuations, and the two
+value representations used everywhere else:
 
 * LocalValue: one local quantity, either an exact rational multiple of log p
   (finite places) or a certified float interval (archimedean place).
@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional, Sequence
 
 from ._intervals import (
     DEFAULT_PREC,
@@ -458,7 +458,7 @@ def _naive_height_interval(q: Fraction) -> Interval:
 
 
 # ---------------------------------------------------------------------------
-# log+ and Newton polygons
+# log+ and least root valuations
 # ---------------------------------------------------------------------------
 
 
@@ -474,37 +474,15 @@ def log_plus(q: Fraction, place: Place) -> LocalValue:
     return LocalValue.exact(Fraction(max(0, -padic_valuation(q, p))), p)
 
 
-def newton_polygon(
-    valuations: Iterable[Optional[Fraction]],
-) -> list[tuple[Fraction, int]]:
-    """Root valuations of a polynomial from its coefficient valuations.
-
-    Input: v_p(c_0), ..., v_p(c_n) for f = sum c_i x^i (None marks c_i = 0;
-    the leading entry must be finite).  Output: the multiset of valuations of
-    the nonzero roots of f in an algebraic closure, as (valuation, mult)
-    pairs sorted increasing.  Each valuation is the negated slope of one face
-    of the lower convex hull of the points (i, v_p(c_i)).
-    """
-    vals = list(valuations)
-    if not vals or vals[-1] is None:
-        raise DomainError("leading coefficient must be nonzero")
-    points = [(i, Fraction(v)) for i, v in enumerate(vals) if v is not None]
-    if len(points) == 1:
-        return []  # monomial: only zero roots
-    # lower convex hull, left to right (monotone chain)
-    hull: list[tuple[int, Fraction]] = []
-    for pt in points:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # drop hull[-1] if it lies on or above segment hull[-2] -> pt
-            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    out: list[tuple[Fraction, int]] = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        slope = Fraction(y2 - y1, x2 - x1)
-        out.append((-slope, x2 - x1))  # root valuation = negated hull slope
-    out.sort(key=lambda sm: sm[0])
-    return out
+def least_root_valuation(
+    points: Sequence[tuple[int, int | Fraction]],
+) -> Optional[Fraction]:
+    """Least p-adic valuation of a root of f = sum c_i x^i, from the points
+    (i, v_p(c_i)) of its nonzero coefficients in increasing i: minus the
+    slope of the last face of the Newton polygon, the least over i < n of
+    (v_i - v_n)/(n - i), with (n, v_n) the leading point.  None for a
+    monomial, whose roots are all 0."""
+    *lower, (n, v_n) = points
+    if not lower:
+        return None
+    return min(Fraction(v - v_n, n - i) for i, v in lower)

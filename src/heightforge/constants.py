@@ -37,9 +37,9 @@ from .family import Family, specialized
 class MKConstants:
     """A place-indexed constant with finite support.
 
-    finite[p] is the exact rational coefficient of log p at the place p
-    (unlisted primes carry 0); arch is the exact archimedean value as a
-    formal sum of logs of primes.
+    finite[p] is the exact nonzero rational coefficient of log p at the
+    place p (unlisted primes carry 0); arch is the exact archimedean value as
+    a formal sum of logs of primes.
     """
 
     finite: Mapping[int, Fraction]
@@ -58,18 +58,8 @@ class MKConstants:
     def to_json(self) -> dict:
         return {
             "archimedean": self.arch.to_json(),
-            "finite": {
-                str(p): format_rational(c)
-                for p, c in sorted(self.finite.items())
-                if c
-            },
+            "finite": LogSum(self.finite).terms_json(),
         }
-
-
-def _mk(finite: dict[int, Fraction], arch: LogSum) -> MKConstants:
-    return MKConstants(
-        finite={p: c for p, c in finite.items() if c != 0}, arch=arch
-    )
 
 
 def log2_at(place: Place) -> LogSum:
@@ -98,20 +88,17 @@ def mk_a(fam: Family) -> MKConstants:
     """Escape-threshold constant 𝔞: once log|z|_v exceeds
     (1/e) log+ |t|_v + 𝔞_v, the map does not contract at v.
 
-    Finite places: (1/e) * max_i |v_p(beta_i)| * log p from Newton polygon
-    data — every beta_i is a p-adic unit exactly when the coefficient is 0.
+    Finite places: (1/e) * max_i |v_p(beta_i)| * log p, read from the least
+    and greatest root valuations of F(X, 1) — every beta_i is a p-adic unit
+    exactly when the coefficient is 0.
     Archimedean place: (1/e) (log+ B + log 3) with B the certified root bound.
     """
     _require_monic(fam, "mk_a")
     e = fam.e
-    finite = {
-        p: fam.amax(p) / e
-        for p in fam.coefficient_support
-        if fam.amax(p) != 0
-    }
+    finite = {p: amax / e for p in fam.coefficient_support if (amax := fam.amax(p))}
     b_plus = max(Fraction(1), fam.arch_root_bound)
     arch = log_rational_exact(3 * b_plus).scale(Fraction(1, e))
-    return _mk(finite, arch)
+    return MKConstants(finite, arch)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +116,7 @@ def mk_b(fam: Family) -> MKConstants:
     _require_monic(fam, "mk_b")
     kappa = Fraction(fam.d, fam.e * (fam.d - 1))
     arch = LogSum({3: kappa, 2: -kappa})  # kappa * log(3/2)
-    return _mk({}, arch)
+    return MKConstants({}, arch)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +178,7 @@ def mk_mvt(fam: Family) -> MKConstants:
     ratio_sq = 4 * n ** (2 * half) * norm_sq ** (n - 1) / (3 * disc_big)
     k = (_ceil_log2(ratio_sq) + 1) // 2  # least k with 4^k >= ratio_sq
     arch = LogSum.single(Fraction(k) * (n - 1) * a_max, 2)
-    return _mk(finite, arch)
+    return MKConstants(finite, arch)
 
 
 def _ceil_log2(r: Fraction) -> int:
@@ -236,6 +223,13 @@ def pigeonhole_delta(fam: Family) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _over_2_d_power(log_x: float, d: int, orbit_bound: int) -> float:
+    """x / (2 d^orbit_bound) as a float from log x, taken through logs since
+    d^orbit_bound overflows; 0.0 once it underflows (below e^-745)."""
+    log_q = log_x - math.log(2) - orbit_bound * math.log(d)
+    return math.exp(log_q) if log_q > -745 else 0.0
+
+
 @dataclass(frozen=True)
 class EpsilonSymbolic:
     """ε = delta / (2 d^orbitBound), kept symbolic because d^orbitBound is
@@ -246,13 +240,8 @@ class EpsilonSymbolic:
     orbit_bound: int
 
     def as_float(self) -> float:
-        log_eps = (
-            math.log(self.delta.numerator)
-            - math.log(self.delta.denominator)
-            - math.log(2)
-            - self.orbit_bound * math.log(self.d)
-        )
-        return math.exp(log_eps) if log_eps > -745 else 0.0
+        log_delta = math.log(self.delta.numerator) - math.log(self.delta.denominator)
+        return _over_2_d_power(log_delta, self.d, self.orbit_bound)
 
     def as_fraction(self) -> Fraction:
         return self.delta / (2 * Fraction(self.d) ** self.orbit_bound)
@@ -289,8 +278,7 @@ class ConstantsReport:
         num = float(self.C_numerator)
         if num <= 0:
             return 0.0
-        log_c = math.log(num) - math.log(2) - self.orbit_bound * math.log(self.family.d)
-        return math.exp(log_c) if log_c > -745 else 0.0
+        return _over_2_d_power(math.log(num), self.family.d, self.orbit_bound)
 
     def to_json(self) -> dict:
         if self.status != "ok":
@@ -339,7 +327,7 @@ def _mk_c(fam: Family) -> MKConstants:
     arch_sum = a.arch + ev.arch
     arch = arch_sum if arch_sum.compare(LogSum.zero()) >= 0 else LogSum.zero()
     arch = arch + log2_at(INF)
-    return _mk(finite, arch)
+    return MKConstants(finite, arch)
 
 
 @lru_cache(maxsize=None)
@@ -378,9 +366,7 @@ def theorem1_constants(fam: Family, s: int) -> ConstantsReport:
     orbit_bound = 2 * (d + 2) ** s_size
     eps = EpsilonSymbolic(delta=delta, d=d, orbit_bound=orbit_bound)
     # C numerator: the worst per-place charge, summed over the support
-    c_num = c.arch
-    for p, coeff in c.finite.items():
-        c_num = c_num + LogSum.single(coeff, p)
+    c_num = c.arch + LogSum(c.finite)
     s_known = tuple(
         sorted(exceptional_places(fam), key=Place.sort_key)
     )

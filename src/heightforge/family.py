@@ -5,8 +5,8 @@ neither X nor Y (a_0 != 0, a_D != 0), and d = e*D.  Writing F(X, 1) =
 a_D * prod_i (X - beta_i)^(alpha_i) gives the factorization
 f_t(z) = a_D * prod_i (z^e - beta_i t)^(alpha_i) that drives all local
 estimates: everything the rest of the package needs about the beta_i comes
-from Newton polygons of F(X, 1) (finite places) and certified archimedean
-bounds, never from numerical roots.
+from their least and greatest valuations (finite places) and certified
+archimedean bounds, never from numerical roots.
 """
 from __future__ import annotations
 
@@ -26,7 +26,8 @@ from .arith import (
     _naive_height_interval,
     factor_integer,
     format_rational,
-    newton_polygon,
+    least_root_valuation,
+    padic_valuation,
     parse_rational,
     support,
     vp_or_none,
@@ -113,23 +114,16 @@ class Family:
                 primes.update(support(a))
         return tuple(sorted(primes))
 
-    def root_valuations(self, p: int) -> list[tuple[Fraction, int]]:
-        """Valuations of the beta_i at p with multiplicities, from the Newton
-        polygon of F(X, 1); all zero off the coefficient support."""
-        cache = self.__dict__.setdefault("_rootval_cache", {})
-        if p not in cache:
-            vals = [vp_or_none(c, p) for c in self.f1]
-            cache[p] = newton_polygon(vals)
-        return cache[p]
-
     def amax(self, p: int) -> Fraction:
-        """max_i |v_p(beta_i)|, the finite-place size of the factor roots."""
+        """max_i |v_p(beta_i)|, the finite-place size of the factor roots.
+        The least v_p(beta_i) is the least root valuation of F(X, 1), and the
+        greatest is minus that of its reversal X^D F(1/X, 1), whose roots are
+        the 1/beta_i; all are zero off the coefficient support."""
         if p not in self.coefficient_support:
             return Fraction(0)
-        vals = self.root_valuations(p)
-        if not vals:
-            return Fraction(0)
-        return max(abs(v) for v, _ in vals)
+        points = [(i, padic_valuation(c, p)) for i, c in enumerate(self.f1) if c]
+        reversal = [(self.deg_form - i, v) for i, v in reversed(points)]
+        return max(abs(least_root_valuation(points)), abs(least_root_valuation(reversal)))
 
     @cached_property
     def arch_root_bound(self) -> Fraction:
@@ -216,9 +210,9 @@ class _FiniteGreenData:
 
     `theta` is the escape threshold: z lies in the escape region at p
     exactly when v(z) < theta, where
-    theta = min(-v(b_D)/(d-1), min over j < D with b_j != 0 of
-    (v(b_j) - v(b_D))/(d - e j)).  Below it the top term strictly dominates
-    and v(f(z)) = v(b_D) + d v(z) < v(z), so both persist along the orbit.
+    theta = min(-v(b_D)/(d-1), the least root valuation of f_t).  Below it
+    the top term strictly dominates and v(f(z)) = v(b_D) + d v(z) < v(z), so
+    both persist along the orbit.
     """
 
     def __init__(self, b: Coeffs, e: int, p: int):
@@ -228,10 +222,10 @@ class _FiniteGreenData:
         self.vb = [vp_or_none(c, p) for c in b]  # None for b_j = 0
         self.v_lead = self.vb[-1]
         terms = [(e * j, v) for j, v in enumerate(self.vb) if v is not None]
-        self.theta = min(
-            [Fraction(-self.v_lead, d - 1)]
-            + [Fraction(v - self.v_lead, d - i) for i, v in terms[:-1]]
-        )
+        self.theta = Fraction(-self.v_lead, d - 1)
+        least = least_root_valuation(terms)  # None when t = 0
+        if least is not None:
+            self.theta = min(self.theta, least)
         # the disk {v >= rho} is invariant when v(b_0) >= rho and
         # v(b_j) >= (1 - e j) rho for j >= 1: rho_lo <= rho <= v(b_0)
         self.rho_lo = max([Fraction(0)] + [Fraction(-v, i - 1) for i, v in terms if i and v < 0])

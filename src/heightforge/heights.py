@@ -540,10 +540,9 @@ def arakelov_green(
         raise DomainError("pair Green function diverges on the diagonal")
     if v.is_archimedean:
         dist = -log_interval(abs(x - y))
-        dist = Interval(dist.lo, dist.hi)
     else:
-        vd = padic_valuation(x - y, v.prime)
-        dist = log_interval(Fraction(v.prime)).scale(vd)  # -log|x-y|_p = vd log p
+        # -log|x - y|_p = v_p(x - y) log p
+        dist = LocalValue.exact(padic_valuation(x - y, v.prime), v.prime).enclosure()
     gx = local_green(fam, t, v, x, tol / 4, budget).enclosure()
     gy = local_green(fam, t, v, y, tol / 4, budget).enclosure()
     return dist + gx + gy

@@ -1,9 +1,11 @@
 """Exact arithmetic substrate: rationals, places, valuations, log sums,
-Newton polygons."""
+least root valuations."""
 import math
 import random
+import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
 
@@ -17,8 +19,8 @@ from heightforge.arith import (
     factor_rational,
     format_rational,
     is_prime,
+    least_root_valuation,
     log_plus,
-    newton_polygon,
     padic_valuation,
     parse_rational,
     support,
@@ -251,6 +253,55 @@ def test_logsum_compare_exact():
     assert small.compare(large) == -1 and large.compare(small) == 1
 
 
+def _log3_log2_convergents(max_bits):
+    """Continued-fraction convergents p/q of log 3 / log 2, read from its
+    40 000-bit value (exact for q below about 2^20000), up to max_bits."""
+    with mpmath.workprec(40000):
+        man, exp = (mpmath.log(3) / mpmath.log(2)).man_exp
+    x = Fraction(man) * Fraction(2) ** exp
+    (p0, q0), (p1, q1) = (1, 0), (0, 1)
+    num, den = x.numerator, x.denominator
+    out = []
+    while q0.bit_length() <= max_bits:
+        a, rest = divmod(num, den)
+        p0, p1, q0, q1 = a * p0 + p1, p0, a * q0 + q1, q0
+        num, den = den, rest
+        out.append((p0, q0))
+    return out
+
+
+def test_logsum_compare_refines_to_its_limit(monkeypatch):
+    # p log 2 - q log 3 is about 1/q for a convergent p/q of log 3 / log 2, so
+    # compare doubles its precision from 120 bits until the enclosure leaves 0
+    precs = []
+    enclosure = LogSum.enclosure
+    monkeypatch.setattr(LogSum, "enclosure",
+                        lambda self, prec: precs.append(prec) or enclosure(self, prec))
+    by_bits = {q.bit_length(): (p, q) for p, q in _log3_log2_convergents(8201)}
+
+    def compare_to_zero(bits, last_prec):
+        p, q = by_bits[bits]
+        precs.clear()
+        start = time.perf_counter()
+        try:
+            return LogSum({2: p, 3: -q}).compare(LogSum.zero())
+        finally:
+            # a bounded ladder: the 15 360-bit case takes about 0.08 s on a
+            # 2-core x86 box
+            assert time.perf_counter() - start < 1.0
+            assert precs == [120 * 2**k for k in range(len(precs))]
+            assert precs[-1] == last_prec
+
+    for bits, last_prec in [(59, 240), (1000, 3840)]:
+        p, q = by_bits[bits]
+        with mpmath.workprec(40000):
+            expected = int(mpmath.sign(p * mpmath.log(2) - q * mpmath.log(3)))
+        assert compare_to_zero(bits, last_prec) == expected
+    # the doubling after 15 360 bits would pass _COMPARE_MAX_PREC = 16 384
+    with pytest.raises(BudgetExceeded, match="not separated from 0 at 16384 bits"):
+        compare_to_zero(8201, 15360)
+
+
 def test_logsum_enclosure_contains_float():
     rng = random.Random(606)
     for _ in range(50):
@@ -298,7 +349,7 @@ def test_log_plus_archimedean():
     assert one.lo == 0.0 == one.hi
 
 
-# -- Newton polygons -----------------------------------------------------------
+# -- least root valuations -----------------------------------------------------------
 
 
 def _greedy_polygon(vals):
@@ -329,43 +380,31 @@ def _greedy_polygon(vals):
     return merged
 
 
-def test_newton_polygon_examples():
-    # x^2 - (1/p) x + 1 at p: coefficient valuations (0, -1, 0)
-    assert newton_polygon([Fraction(0), Fraction(-1), Fraction(0)]) == [
-        (Fraction(-1), 1),
-        (Fraction(1), 1),
-    ]
-    # monomial: no nonzero roots
-    assert newton_polygon([None, None, Fraction(3)]) == []
-    # single segment with multiplicity: (x - p)^2 = x^2 - 2px + p^2 at p > 2
-    assert newton_polygon([Fraction(2), Fraction(1), Fraction(0)]) == [(Fraction(1), 2)]
-    with pytest.raises(DomainError):
-        newton_polygon([Fraction(0), None])
-
-
-def test_newton_polygon_against_greedy_oracle():
+def test_least_root_valuation_against_greedy_oracle():
+    # the least root valuation is the oracle's first (least) valuation, and
+    # None for a monomial, whose polygon has no face
     rng = random.Random(707)
-    for _ in range(300):
-        n = rng.randint(1, 9)
-        vals = []
-        for i in range(n + 1):
-            if i < n and rng.random() < 0.25:
-                vals.append(None)
-            else:
-                vals.append(Fraction(rng.randint(-8, 8)))
-        if vals[0] is None and all(v is None for v in vals[:-1]):
-            continue
-        got = newton_polygon(vals)
-        assert got == _greedy_polygon(vals)
-        # total multiplicity = degree minus order of vanishing at 0
-        first = next(i for i, v in enumerate(vals) if v is not None)
-        assert sum(m for _, m in got) == n - first
-        # output sorted ascending
-        assert all(got[i][0] < got[i + 1][0] for i in range(len(got) - 1))
+    monomials = 0
+    for _ in range(3000):
+        n = rng.randint(0, 9)
+        p_zero = rng.choice([0.25, 0.9])
+        vals = [None if i < n and rng.random() < p_zero else rng.randint(-8, 8)
+                for i in range(n + 1)]
+        points = [(i, v) for i, v in enumerate(vals) if v is not None]
+        polygon = _greedy_polygon(vals)
+        got = least_root_valuation(points)
+        if len(points) == 1:
+            monomials += 1
+            assert polygon == [] and got is None
+        else:
+            assert got == polygon[0][0]
+    assert monomials > 300
 
 
-def test_newton_polygon_recovers_constructed_roots():
-    # f = c * prod (x - p^{k_i}): root valuations are exactly the k_i
+def test_least_root_valuation_recovers_constructed_roots():
+    # f = c * prod (x - p^{k_i}): root valuations are exactly the k_i, so the
+    # least is min k and the greatest, minus the least of the reversal
+    # x^n f(1/x), is max k
     rng = random.Random(808)
     for _ in range(120):
         p = rng.choice([2, 3, 5, 7])
@@ -381,9 +420,8 @@ def test_newton_polygon_recovers_constructed_roots():
             coeffs = new
         scalef = Fraction(p) ** rng.randint(-2, 2) * rng.choice([1, -1])
         coeffs = [c * scalef for c in coeffs]
-        vals = [vp_or_none(c, p) for c in coeffs]
-        got = newton_polygon(vals)
-        expected = sorted(
-            ((Fraction(k), ks.count(k)) for k in set(ks)), key=lambda t: t[0]
-        )
-        assert got == expected
+        n = len(coeffs) - 1
+        points = [(i, vp_or_none(c, p)) for i, c in enumerate(coeffs) if c]
+        reversal = [(n - i, v) for i, v in reversed(points)]
+        assert least_root_valuation(points) == min(ks)
+        assert -least_root_valuation(reversal) == max(ks)

@@ -18,7 +18,6 @@ from heightforge.arith import (
     padic_valuation,
     support,
     vp_or_none,
-    newton_polygon,
 )
 from heightforge.constants import (
     EpsilonSymbolic,
@@ -36,6 +35,8 @@ from heightforge.constants import (
 )
 from heightforge.errors import DomainError
 from heightforge.family import build_family, specialize
+
+from test_arith import _greedy_polygon
 
 Z2T = build_family([1, 1], 2)  # z^2 + t
 Z2_4T = build_family([1, 4], 2)  # z^2 + 4t
@@ -274,7 +275,7 @@ def _mvt_oracle_finite(fam, z, p):
         )  # monic, roots are the zetas of this factor
         h = _shift_poly(g_i, z)
         vals = [vp_or_none(c, p) for c in h]
-        for val, m in newton_polygon(vals):
+        for val, m in _greedy_polygon(vals):
             cand = mult * val
             best = cand if best is None else max(best, cand)
     assert best is not None

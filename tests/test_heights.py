@@ -14,6 +14,7 @@ from heightforge.family import analyze_cover, build_family, specialize
 from heightforge import _polys as P
 from heightforge import heights as H
 from heightforge._intervals import Interval, log_interval
+from heightforge._padics import PAdic
 from heightforge.heights import (
     GreenResult,
     Infinity,
@@ -359,6 +360,23 @@ def test_green_padic_restarts(monkeypatch):
             assert "p-adic precision exhausted for G_2" in str(exc) and exc.best is None
             exhausted += 1
     assert exhausted == 22
+
+
+def test_green_padic_phase_adds_a_zero_form_coefficient(monkeypatch):
+    # z^4 - t^2 (F = X^2 - Y^2, a_1 = 0) at t = -5/4 keeps v_2(z_n) = -1 from
+    # z = 3/2, so G_2 reaches the windowed 2-adic phase, where Horner in z^2
+    # adds b_1 as a zero PAdic
+    zero_adds = []
+    add = PAdic.__add__
+    monkeypatch.setattr(PAdic, "__add__", lambda x, y: zero_adds.append(
+        x.is_zeroish or y.is_zeroish) or add(x, y))
+    fam, t, z = build_family([1, 0, -1], 2), Fraction(-5, 4), Fraction(3, 2)
+    assert local_green(fam, t, Place.finite(2), z, tol=1e-9).to_json() == {
+        "value_lo": 0.0, "value_hi": 3.765671097921532e-10, "mode": "interval",
+        "place": None, "steps": 16}
+    assert zero_adds.count(True) == 9
+    h = canonical_height(fam, t, z)
+    assert (h.lo, h.hi) == (0.3125365598232338, 0.3125365602332706)
 
 
 def test_green_budget_past_the_float_range_reports_finite_best():

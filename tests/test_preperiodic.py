@@ -587,6 +587,40 @@ def test_scan_exceptional_denominator_caps():
         assert {f.z for f in rep.findings} == expected, t
 
 
+def test_scan_skips_the_cover_pole():
+    # phi(t) = 1/(t - 1): t = 1 is skipped as a pole, 7 of the other 14
+    # parameters are obstructed, and each remaining one finds exactly the
+    # preperiodic points of the whole z-box
+    cov = analyze_cover([1], [-1, 1])
+    t_bound, z_bound = math.log(3), math.log(4)
+    rep = scan(Z2T, t_bound, z_bound, cover=cov)
+    assert (rep.t_examined, rep.t_skipped_pole, rep.t_filtered_criterion, rep.t_obstructed,
+            rep.candidates_checked, len(rep.findings), rep.complete) == (15, 1, 0, 7, 53, 16, True)
+    size = preperiodic._box_size(z_bound)
+    box = [Fraction(x, y) for y in range(1, size + 1) for x in range(-size, size + 1)
+           if math.gcd(x, y) == 1]
+    for t in _rationals_in_box(t_bound):
+        if t != 1:
+            param = family.evaluate_cover(cov, t)
+            expected = {z for z in box if _preperiodic_by_iteration(Z2T, param, z)}
+            assert {f.z for f in rep.findings if f.t == t} == expected, t
+
+
+def test_criterion_shape_refusals():
+    # each cover fails one condition of the z^d + 1/(1 + t^m) shape or its
+    # proven regime, so no parameter is filtered by the criterion
+    z6 = build_family([1, -3, 1], 3)  # z^6 - 3t z^3 + t^2
+    for fam, numer, denom in [
+        (Z2T, [2], [1, 0, 0, 0, 1]),  # numerator not 1
+        (Z2T, [1], [1, 0, 1]),  # m = 2 is outside the regime for d = 2
+        (Z2T, [1], [-1, 1]),  # denominator not 1 + t^m
+        (z6, [1], [1, 0, 0, 0, 1]),  # map not z^d + t
+    ]:
+        cov = analyze_cover(numer, denom)
+        assert preperiodic._criterion_shape(fam, cov) is None
+        assert scan(fam, math.log(2), math.log(2), cover=cov).t_filtered_criterion == 0
+
+
 def test_scan_composed_quartic_no_findings():
     cov4 = analyze_cover([1], [1, 0, 0, 0, 1])
     rep = scan(Z2T, math.log(20), math.log(20), cover=cov4)
