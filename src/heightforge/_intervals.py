@@ -64,10 +64,6 @@ class Interval:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def point(x: float) -> "Interval":
-        return Interval(x, x)
-
-    @staticmethod
     def zero() -> "Interval":
         return Interval(0.0, 0.0)
 

@@ -23,7 +23,6 @@ from ._intervals import Interval, log_interval
 from ._polys import Coeffs
 from .arith import (
     LocalValue,
-    _naive_height_interval,
     factor_integer,
     format_rational,
     least_root_valuation,
@@ -262,7 +261,6 @@ class SpecializedMap:
     on first use.  Build maps through the memoized `specialized`."""
 
     def __init__(self, fam: Family, t: Fraction):
-        self.t = t
         self.e, self.d = fam.e, fam.d
         self.ze_coeffs = specialize(fam, t)[:: fam.e]
         self._green_data: dict[int, _FiniteGreenData] = {}
@@ -343,11 +341,6 @@ class SpecializedMap:
         if primes <= m_primes:
             return self.denominator_primes
         return tuple(sorted(primes | m_primes))
-
-    @cached_property
-    def orbit_cutoff(self) -> float:
-        """Default naive-height cutoff d h(t) + 20 for escape tests on orbits."""
-        return self.d * _naive_height_interval(self.t).hi + 20.0
 
     def green_data(self, p: int) -> _FiniteGreenData:
         """The finite-place Green data at p, built once per prime."""

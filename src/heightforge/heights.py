@@ -100,7 +100,6 @@ from ._intervals import (
     iv_prec,
     log_interval,
     log_iv,
-    log_plus_interval,
     sum_intervals,
     to_float53,
 )
@@ -113,6 +112,7 @@ from .arith import (
     _naive_height_interval,
     factor_integer,
     factor_rational,
+    log_plus,
     naive_height,
     padic_valuation,
     vp_or_none,
@@ -555,49 +555,32 @@ def arakelov_green(
 Infinity = object()  # sentinel for a = infinity
 
 
-def _lambda_argument(a, t: Fraction) -> Optional[Fraction]:
-    """The quantity whose valuation lambda measures: t - a, or 1/t when
-    a = infinity.  t = a raises.  For a = infinity, t = 0 the argument is
-    1/0, i.e. t is as far from the target as possible (v = -infinity at
-    every place); that case is encoded as None and every lambda is 0."""
+def _lambda_argument(a, t: Fraction) -> Fraction:
+    """The reciprocal r = 1/(t - a) whose log+ lambda measures, or t when
+    a = infinity (r = 0 at t = 0, where every lambda is 0).  t = a raises."""
     if a is Infinity or a == "inf":
-        if t == 0:
-            return None
-        return 1 / t
+        return t
     a = Fraction(a)
     if t == a:
         raise DomainError("lambda_[a] has a pole at t = a")
-    return t - a
+    return 1 / (t - a)
 
 
 def lambda_local(a, v: Place, t: Fraction) -> LocalValue:
-    """Local height of t relative to a: max{0, v(t-a)} log p at finite
-    places, log+ |1/(t-a)| at the archimedean place; a = infinity replaces
-    t - a by 1/t."""
-    t = Fraction(t)
-    s = _lambda_argument(a, t)
-    if v.is_archimedean:
-        if s is None:
-            return LocalValue.interval(0.0, 0.0)
-        enc = log_plus_interval(Fraction(1) / s)
-        return LocalValue.interval(enc.lo, enc.hi)
-    if s is None:
-        return LocalValue.exact(Fraction(0), v.prime)
-    val = max(0, padic_valuation(s, v.prime))
-    return LocalValue.exact(Fraction(val), v.prime)
+    """Local height of t relative to a: log+ |1/(t-a)|_v, that is
+    max{0, v(t-a)} log p at finite places; a = infinity replaces
+    1/(t - a) by t."""
+    return log_plus(_lambda_argument(a, Fraction(t)), v)
 
 
 def conductor_count(a, S: Iterable[Place], t: Fraction) -> LogSum:
     """N_{a,S}(t) = sum of log p over finite p not in S with v_p(t - a) > 0
     (the radical count, not multiplicity-weighted)."""
-    t = Fraction(t)
-    s = _lambda_argument(a, t)
+    r = _lambda_argument(a, Fraction(t))
     excluded = {pl.prime for pl in S if not pl.is_archimedean}
     out = LogSum.zero()
-    if s is None:
-        return out
-    # v_p(s) > 0 exactly for p dividing the numerator of s
-    for p in factor_integer(s.numerator):
+    # v_p(t - a) > 0, i.e. v_p(r) < 0, exactly for p dividing the denominator of r
+    for p in factor_integer(r.denominator):
         if p not in excluded:
             out = out + LogSum.single(Fraction(1), p)
     return out

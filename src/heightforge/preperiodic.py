@@ -6,18 +6,13 @@ either by a single-place escape witness (which forces a positive local
 Green's value, hence positive canonical height) or by a canonical-height
 enclosure bounded away from zero.
 
-Orbits are cheap to run because three facts keep logs and factoring out of
-the loop:
-
-* the escape test waits until the naive height h(z_n) exceeds a cutoff, and
-  with b the bit length of max(|num z_n|, den z_n), h(z_n) lies in
-  [(b - 1) log 2, b log 2); the height enclosure is computed only when the
-  cutoff falls inside that window widened by a margin that bounds the
-  enclosure midpoint's error, so every decision equals the midpoint test;
-* an orbit's naive heights are computed from its points when first read;
-* every prime dividing den(z_n) divides den(z_0) or M, and at any other
-  prime no escape can fire, so one prime set, built when the cutoff first
-  passes, serves the whole orbit's escape tests.
+An orbit stops at its first repeat or at its first point in the escape
+region of some place, so a wandering point's certificate ends at the first
+point that escapes.  The escape test reads no logs: every prime dividing
+den(z_n) divides den(z_0) or M, and at any other prime no escape can fire,
+so one prime set, found before the first point, serves every test of the
+orbit.  An orbit's naive heights are computed from its points when first
+read.
 
 Fast filters used by the scanner:
 
@@ -87,16 +82,6 @@ _ORBIT_BIT_CAP = 200_000
 # parameter and candidate boxes beyond this many rationals are refused before
 # they are enumerated
 _MAX_BOX_PARAMETERS = 10**6
-
-_LN2 = math.log(2)
-# For n = max(|num w|, den w) of b bits, |_naive_height_interval(w).mid - log n|
-# is at most about 2 ulps of log n: libmp rounds n outward and takes its log
-# at 120 bits, so only the rounding of each endpoint to a float, pushed one ulp
-# outward, and the midpoint's own rounding remain.  log n < b log 2 < b, so
-# those ulps stay below b 2^-50, and rounding (b - 1) log 2 and b log 2 to
-# floats adds b 2^-52: a margin of (b + 1) 2^-40 covers every b with about 2^9
-# to spare.
-_MID_ERROR_PER_BIT = 2.0**-40
 
 
 # ---------------------------------------------------------------------------
@@ -182,58 +167,31 @@ def _escape_place(fmap: SpecializedMap, z: Fraction, primes: Sequence[int]) -> O
     return None
 
 
-def _height_exceeds(w: Fraction, b: int, cutoff: float) -> bool:
-    """_naive_height_interval(w).mid > cutoff, for b the bit length of
-    max(|num w|, den w).  h(w) lies in [(b - 1) log 2, b log 2), so the log
-    is computed only for a cutoff inside that window widened by the
-    midpoint's error bound.  A NaN or +inf cutoff never fires and -inf
-    always does, as the midpoint comparison gives."""
-    margin = (b + 1) * _MID_ERROR_PER_BIT
-    if cutoff < (b - 1) * _LN2 - margin:
-        return True
-    if not cutoff < b * _LN2 + margin:
-        return False
-    return _naive_height_interval(w).mid > cutoff
-
-
-def iterate_orbit(
-    fam: Family,
-    t: Fraction,
-    z: Fraction,
-    max_steps: int,
-    height_cutoff: Optional[float] = None,
-) -> OrbitRecord:
+def iterate_orbit(fam: Family, t: Fraction, z: Fraction, max_steps: int) -> OrbitRecord:
     """Exact forward orbit of z under f_t until a repeat, a certified escape,
     or the budget.
 
-    The orbit stops at the first repeated value (CycleFound), or — once the
-    naive height exceeds `height_cutoff` (default d*h(t) + 20) — at the first
-    point lying in a certified escape region at some place (EscapeCertified).
-    Budget exhaustion is the OrbitTruncated event, not an error.  The cutoff
-    test reads bit lengths and computes a log only when the cutoff lies
-    within the point's bit window; the escape tests of one orbit share the
-    map's bad primes for z, those of M and of den z, found once.
+    Each point, from z on, is tested in this order: a repeated value ends the
+    orbit with CycleFound, a point in a certified escape region at some place
+    with EscapeCertified, so a wandering orbit ends at its first escaping
+    point, and the step budget or the bit-size cap with OrbitTruncated, an
+    event, not an error.  The escape tests share the map's bad primes for z,
+    those of M and of den z, found once before the first point.
     """
     if max_steps < 1:
         raise DomainError("max_steps must be >= 1")
     fmap = specialized(fam, t)
-    if height_cutoff is None:
-        height_cutoff = fmap.orbit_cutoff
-
+    primes = fmap.bad_primes(z)
     points: list[Fraction] = []
-    primes: Optional[tuple[int, ...]] = None
     for n, (w, first) in enumerate(fmap.orbit(z)):
         points.append(w)
         if first < n:
             return OrbitRecord(tuple(points), CycleFound(first, n - first))
-        num_bits, den_bits = w.numerator.bit_length(), w.denominator.bit_length()
-        if _height_exceeds(w, max(num_bits, den_bits), height_cutoff):
-            if primes is None:
-                primes = fmap.bad_primes(points[0])
-            pl = _escape_place(fmap, w, primes)
-            if pl is not None:
-                return OrbitRecord(tuple(points), EscapeCertified(pl, n))
-        if n == max_steps or num_bits + den_bits > _ORBIT_BIT_CAP:
+        pl = _escape_place(fmap, w, primes)
+        if pl is not None:
+            return OrbitRecord(tuple(points), EscapeCertified(pl, n))
+        bits = w.numerator.bit_length() + w.denominator.bit_length()
+        if n == max_steps or bits > _ORBIT_BIT_CAP:
             return OrbitRecord(tuple(points), OrbitTruncated(n))
 
 
@@ -304,11 +262,12 @@ def certify_point(fam: Family, t: Fraction, z: Fraction) -> Certificate:
         for rec in bad_place_obstruction(fam, t):
             if rec.obstructed:
                 # the equation |z|^e = |t| has no rational solution at this
-                # place, so z sits in its escape region: G there is positive
+                # place, so z sits in its escape region: G there is positive.
+                # The record is the one step z, f(z), with no prime set found
                 bound = _positive_green_bound(fam, t, rec.place, z)
                 return Certificate(
                     "wandering",
-                    iterate_orbit(fam, t, z, 1),
+                    OrbitRecord((z, specialized(fam, t)(z)), OrbitTruncated(1)),
                     hhat_lower_bound=bound,
                     witness=rec.place,
                 )

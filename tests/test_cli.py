@@ -382,11 +382,14 @@ def test_unprovable_factoring_exit_3(capsys, monkeypatch):
         ("height", "--family", FAM2, "--t", "1", "--z", f"1/{RHO_HARD}"),
         ("resultant", "--family", FAM2, "--t", f"1/{RHO_HARD}"),
         ("obstruct", "--family", FAM2, "--t", f"1/{RHO_HARD}"),
-        ("certify", "--family", FAM2, "--t", "1/3", "--z", f"1/{RHO_HARD}"),
+        ("certify", "--family", FAM2, "--t", "1", "--z", f"1/{RHO_HARD}"),
     ):
         code, out = run_cli(capsys, *argv)
         assert code == 3 and out["error"]["kind"] == "budget", argv
         assert out["error"]["message"] == f"cannot split {RHO_HARD} in 4096 rho iterations"
+    # the obstruction at 3 is the witness, and den z is never factored
+    code, out = run_cli(capsys, "certify", "--family", FAM2, "--t", "1/3", "--z", f"1/{RHO_HARD}")
+    assert code == 0 and out["witness"] == "3"
     for argv in (
         ("green", "--family", FAM2, "--t", "1/3", "--place", PSI_13, "--z", "1/3"),
         ("certify", "--family", FAM2, "--t", f"1/{PSI_13}", "--z", "1/3"),

@@ -1,11 +1,11 @@
 """Orbits, certificates, obstruction filters, criterion, and scans."""
+import itertools
 import json
 import math
 import random
 import sys
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -57,26 +57,30 @@ def test_orbit_classic_cycle():
 
 
 def test_orbit_arch_escape():
+    # the certificate fires at z = 5, the first point past the exact escape
+    # radius max(1, 2|t|) = 2
     rec = iterate_orbit(Z2T, Fraction(1), Fraction(0), 40)
-    assert rec.points[:5] == (0, 1, 2, 5, 26)
-    assert isinstance(rec.event, EscapeCertified)
-    assert rec.event.place == INF
-    # with a low cutoff the certificate fires at z = 5 (first point past the
-    # exact escape radius max(1, 2|t|) = 2)
-    rec = iterate_orbit(Z2T, Fraction(1), Fraction(0), 40, height_cutoff=1.2)
-    assert rec.event == EscapeCertified(INF, 3) and rec.points[-1] == 5
+    assert rec.points == (0, 1, 2, 5)
+    assert rec.event == EscapeCertified(INF, 3)
 
 
 def test_orbit_2adic_escape():
-    rec = iterate_orbit(Z2T, Fraction(-1), Fraction(1, 2), 40, height_cutoff=2.0)
-    assert rec.points == (Fraction(1, 2), Fraction(-3, 4), Fraction(-7, 16))
-    assert rec.event == EscapeCertified(Place.finite(2), 2)
+    # theta_2 = 0 for z^2 - 1, so 1/2 escapes at once
+    rec = iterate_orbit(Z2T, Fraction(-1), Fraction(1, 2), 40)
+    assert rec.points == (Fraction(1, 2),)
+    assert rec.event == EscapeCertified(Place.finite(2), 0)
+    # theta_2 = -1 for z^3 + 1/8: 1/2 sits on the threshold, and its image
+    # 1/8 + 1/8 = 1/4 is below it
+    rec = iterate_orbit(Z3T, Fraction(1, 8), Fraction(1, 2), 40)
+    assert rec.points == (Fraction(1, 2), Fraction(1, 4))
+    assert rec.event == EscapeCertified(Place.finite(2), 1)
 
 
 def test_orbit_budget_event():
-    rec = iterate_orbit(Z2T, Fraction(1), Fraction(0), 3)
-    assert rec.event == OrbitTruncated(3)
-    assert len(rec.points) == 4
+    # the orbit 0, 1, 2, 5 of z^2 + 1 escapes at step 3, past this budget
+    rec = iterate_orbit(Z2T, Fraction(1), Fraction(0), 2)
+    assert rec.event == OrbitTruncated(2)
+    assert len(rec.points) == 3
 
 
 def test_orbit_rejects_bad_budget():
@@ -124,58 +128,20 @@ def _reference_escape_place(fmap, w):
     return INF if abs(w) > fmap.escape_radius else None
 
 
-def _reference_orbit(fam, t, z, max_steps, cutoff):
-    """iterate_orbit with the log computed and the denominator factored at
-    every point."""
+def _reference_orbit(fam, t, z, max_steps):
+    """iterate_orbit with the denominator factored at every point."""
     fmap = specialized(fam, t)
     points = []
     for n, (w, first) in enumerate(fmap.orbit(z)):
         points.append(w)
         if first < n:
             return points, CycleFound(first, n - first)
-        if _naive_height_interval(w).mid > cutoff:
-            pl = _reference_escape_place(fmap, w)
-            if pl is not None:
-                return points, EscapeCertified(pl, n)
+        pl = _reference_escape_place(fmap, w)
+        if pl is not None:
+            return points, EscapeCertified(pl, n)
         bits = w.numerator.bit_length() + w.denominator.bit_length()
         if n == max_steps or bits > preperiodic._ORBIT_BIT_CAP:
             return points, OrbitTruncated(n)
-
-
-def test_orbit_cutoff_matches_midpoint_test():
-    ln2 = math.log(2)
-    orbits = [
-        (Z2T, Fraction(1), Fraction(0)),
-        (Z2T, Fraction(-1), Fraction(1, 2)),
-        (Z2T, Fraction(1, 4), Fraction(3, 2)),
-        (Z3T, Fraction(-2, 3), Fraction(1, 7)),
-        (Z4T2, Fraction(1, 4), Fraction(3, 2)),
-        (NONMONIC, Fraction(-7, 2), Fraction(1, 5)),
-        # the midpoints of h(2^58) and h(2^116) fall on (b - 1) log 2, and
-        # that of h(2^51 - 1) reaches b log 2: only the margin keeps these
-        (Z2T, Fraction(0), Fraction(2**58)),
-        (Z2T, Fraction(0), Fraction(2**51 - 1)),
-    ]
-    for fam, t, z in orbits:
-        full = iterate_orbit(fam, t, z, 6, height_cutoff=math.inf).points
-        cutoffs = [math.nan, math.inf, -math.inf]
-        for w in full:
-            b = max(w.numerator.bit_length(), w.denominator.bit_length())
-            mid = _naive_height_interval(w).mid
-            cutoffs += [(b - 1) * ln2, b * ln2, mid,
-                        math.nextafter(mid, -math.inf), math.nextafter(mid, math.inf)]
-        for cutoff in cutoffs:
-            rec = iterate_orbit(fam, t, z, 6, height_cutoff=cutoff)
-            points, event = _reference_orbit(fam, t, z, 6, cutoff)
-            assert (rec.points, rec.event) == (tuple(points), event), (fam, t, z, cutoff)
-    # the margin bounds the midpoint's error from log n with a factor of 16 to
-    # spare (the derivation claims about 2^9), past the orbit bit cap too
-    rng = random.Random(7004)
-    with mpmath.workprec(400):
-        for b in [1, 2, 3, 49, 50, 51, 52, 64, 200, 1000, 10**4, 2 * 10**5, 10**6]:
-            for n in {1 << (b - 1), (1 << b) - 1, rng.getrandbits(b) | 1 << (b - 1)}:
-                err = abs(mpmath.mpf(_naive_height_interval(Fraction(n)).mid) - mpmath.log(n))
-                assert err <= (b + 1) * preperiodic._MID_ERROR_PER_BIT / 16, (b, n)
 
 
 def _count_factorings(monkeypatch) -> list[int]:
@@ -193,7 +159,7 @@ def _count_factorings(monkeypatch) -> list[int]:
     return factored
 
 
-def test_orbit_cutoff_computes_no_log_outside_the_windows(monkeypatch):
+def test_orbit_computes_no_log_until_heights_are_read(monkeypatch):
     calls = []
 
     def counted(w):
@@ -202,14 +168,9 @@ def test_orbit_cutoff_computes_no_log_outside_the_windows(monkeypatch):
 
     monkeypatch.setattr(preperiodic, "_naive_height_interval", counted)
     factored = _count_factorings(monkeypatch)
-    # 10 lies in the 15-bit window; the orbit 0, 1, 2, 5, 26, 677, ... skips it
-    for cutoff, event in ((10.0, EscapeCertified(INF, 6)), (-math.inf, EscapeCertified(INF, 3)),
-                          (math.inf, OrbitTruncated(20)), (math.nan, OrbitTruncated(20))):
-        rec = iterate_orbit(Z2T, Fraction(1), Fraction(0), 40, height_cutoff=cutoff)
+    for max_steps, event in ((40, EscapeCertified(INF, 3)), (2, OrbitTruncated(2))):
+        rec = iterate_orbit(Z2T, Fraction(1), Fraction(0), max_steps)
         assert rec.event == event
-        for w in rec.points:
-            b = max(w.numerator.bit_length(), w.denominator.bit_length())
-            assert not (b - 1) * math.log(2) - 1e-6 <= cutoff <= b * math.log(2) + 1e-6
         assert calls == []
         heights = rec.naive_heights
         assert len(calls) == len(rec.points) == len(heights)
@@ -220,7 +181,7 @@ def test_orbit_cutoff_computes_no_log_outside_the_windows(monkeypatch):
     specialized(Z2T, Fraction(1, 4)).denominator_primes
     factored.clear()
     rec = iterate_orbit(Z2T, Fraction(1, 4), Fraction(3, 2), 40)
-    assert rec.event == EscapeCertified(INF, 6) and factored == []
+    assert rec.event == EscapeCertified(INF, 1) and factored == []
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -241,11 +202,8 @@ def test_orbit_prime_set_finds_the_same_escape_place(fam, t, z):
     original = family.factor_integer
     family.factor_integer = counted
     try:
-        # the cutoff passes at every point: at most one factoring per orbit
-        rec = iterate_orbit(fam, t, z, 5, height_cutoff=-math.inf)
-        assert len(factored) <= 1
-        factored.clear()
-        iterate_orbit(fam, t, z, 5)
+        # every point is tested, with at most one factoring per orbit
+        rec = iterate_orbit(fam, t, z, 5)
         assert len(factored) <= 1
         primes = fmap.bad_primes(z)
     finally:
@@ -253,10 +211,10 @@ def test_orbit_prime_set_finds_the_same_escape_place(fam, t, z):
     assert primes == tuple(sorted(
         set(support(Fraction(z.denominator))) | set(support(Fraction(fmap.integral_model[1])))
     ))
-    points = iterate_orbit(fam, t, z, 5, height_cutoff=math.inf).points
-    for w in points:
+    for w, _ in itertools.islice(fmap.orbit(z), 6):
         assert preperiodic._escape_place(fmap, w, primes) == _reference_escape_place(fmap, w)
-    ref_points, ref_event = _reference_orbit(fam, t, z, 5, -math.inf)
+    # the event step is the first step at which the reference test fires
+    ref_points, ref_event = _reference_orbit(fam, t, z, 5)
     assert (rec.points, rec.event) == (tuple(ref_points), ref_event)
     # the threshold is the per-coefficient test, and its denominator cap the
     # search for the first valuation outside the escape region
@@ -315,36 +273,40 @@ def test_certify_shell_wanderer():
     assert cert.verdict == "wandering" and cert.witness == INF
 
 
-def test_certify_height_interval_witness():
-    # 0 under z^2 + 10^60000 passes the 200 000-bit cap at step 2, below the
-    # escape cutoff 2 h(t) + 20: neither a cycle nor an escape place is found,
-    # and the canonical-height enclosure certifies the point
+def test_certify_height_interval_witness(monkeypatch):
+    # 0 under z^2 + 10^60000 escapes at infinity at step 2, where it also
+    # passes the 200 000-bit cap
     t = Fraction(10**60000)
+    assert certify_point(Z2T, t, Fraction(0)).orbit.event == EscapeCertified(INF, 2)
+    # with no escape place, neither a cycle nor an escape is found, and the
+    # canonical-height enclosure certifies the point, as it does a slow
+    # wanderer that escapes past the step budget
+    monkeypatch.setattr(preperiodic, "_escape_place", lambda *args: None)
     cert = certify_point(Z2T, t, Fraction(0))
     assert cert.verdict == "wandering" and cert.witness == "height-interval"
     assert cert.orbit.event == OrbitTruncated(2)
     assert cert.orbit.event.to_json() == {"kind": "budget-exhausted", "steps": 2}
     last = cert.orbit.points[-1]
     assert last.numerator.bit_length() > preperiodic._ORBIT_BIT_CAP
-    assert cert.orbit.naive_heights[-1] < specialized(Z2T, t).orbit_cutoff
     assert 0 < cert.hhat_lower_bound <= canonical_height(Z2T, t, Fraction(0), 1e-9).hi
     js = cert.to_json()  # 120 001-digit orbit points, past Python's int-to-str limit
     assert js["witness"] == "height-interval"
     assert js["orbit"]["points"][1] == "1" + "0" * 60000
 
 
-def _orbits_without_cutoff(monkeypatch):
-    """Make certify_point's orbits run with an infinite height cutoff, so no
-    escape is certified; returns the step budgets asked for and the records
-    made, in order."""
+def _orbits_without_escape(monkeypatch):
+    """Make certify_point's orbits find no escape place, so no escape is
+    certified; returns the step budgets asked for and the records made, in
+    order."""
     budgets, records = [], []
     real_orbit = preperiodic.iterate_orbit
 
     def orbit(fam, t, z, steps):
         budgets.append(steps)
-        records.append(real_orbit(fam, t, z, steps, height_cutoff=math.inf))
+        records.append(real_orbit(fam, t, z, steps))
         return records[-1]
 
+    monkeypatch.setattr(preperiodic, "_escape_place", lambda *args: None)
     monkeypatch.setattr(preperiodic, "iterate_orbit", orbit)
     return budgets, records
 
@@ -365,14 +327,16 @@ def _green(enc):
 
 def test_positive_green_bound_retries(monkeypatch):
     # t = 1/3 is obstructed at 3, so certify_point asks for a positive bound
-    # on G_3(1/2), quartering the tol while the enclosure touches 0
-    _, records = _orbits_without_cutoff(monkeypatch)
+    # on G_3(1/2), quartering the tol while the enclosure touches 0; its
+    # record is the one step 1/2, f(1/2) = 7/12, and no orbit is iterated
+    _, records = _orbits_without_escape(monkeypatch)
     tols = []
     monkeypatch.setattr(preperiodic, "local_green", _first_undecided(1, tols, _green))
     cert = certify_point(Z2T, Fraction(1, 3), Fraction(1, 2))
     assert tols == [1e-6, 2.5e-7]
     assert cert.witness == Place.finite(3) and cert.hhat_lower_bound == 0.25
-    assert cert.orbit is records[-1]
+    assert cert.orbit.points == (Fraction(1, 2), Fraction(7, 12))
+    assert cert.orbit.event == OrbitTruncated(1) and records == []
     tols.clear()
     monkeypatch.setattr(preperiodic, "local_green", _first_undecided(math.inf, tols, _green))
     with pytest.raises(BudgetExceeded, match="could not separate"):
@@ -381,10 +345,10 @@ def test_positive_green_bound_retries(monkeypatch):
 
 
 def test_certify_point_retries(monkeypatch):
-    # t = 1 is obstructed nowhere and the orbit of 1/2 certifies no escape,
-    # so canonical_height decides each round: the step budget doubles and the
+    # t = 1 is obstructed nowhere and, with no escape place, the orbit of 1/2
+    # certifies no escape, so canonical_height decides each round: the step budget doubles and the
     # tol halves while its enclosure touches 0
-    budgets, records = _orbits_without_cutoff(monkeypatch)
+    budgets, records = _orbits_without_escape(monkeypatch)
     tols = []
     monkeypatch.setattr(preperiodic, "canonical_height", _first_undecided(1, tols))
     cert = certify_point(Z2T, Fraction(1), Fraction(1, 2))
@@ -745,8 +709,8 @@ def test_pigeonhole_pair_exists():
         (Fraction(7, 5), Place.finite(5)),
     ]
     for t, v in cases:
-        rec = iterate_orbit(fam, t, Fraction(2), fam.d + 3, height_cutoff=1e9)
-        pts = rec.points[: fam.d + 3]
+        orbit = specialized(fam, t).orbit(Fraction(2))
+        pts = [w for w, _ in itertools.islice(orbit, fam.d + 3)]
         assert len(set(pts)) == len(pts)
         if v.is_archimedean:
             logt = math.log(max(1.0, abs(float(t))))
