@@ -149,18 +149,3 @@ def log_interval(q: Fraction, prec: int = DEFAULT_PREC) -> Interval:
         raise ValueError("log of a nonpositive rational")
     return log_iv(iv_from_fraction(q, prec), prec)
 
-
-def log_plus_interval(q: Fraction, prec: int = DEFAULT_PREC) -> Interval:
-    """Certified enclosure of log+ |q| = log max(1, |q|), exact [0,0] when
-    |q| <= 1 (an exact rational comparison, no rounding involved)."""
-    a = abs(Fraction(q))
-    if a <= 1:
-        return Interval.zero()
-    return log_interval(a, prec)
-
-
-def sum_intervals(parts) -> Interval:
-    total = Interval.zero()
-    for part in parts:
-        total = total + part
-    return total

@@ -2,10 +2,10 @@
 
 Coefficient lists are constant-term first throughout the package (matching
 the cover-spec JSON convention).  Everything here is exact Fraction
-arithmetic: ring operations, denominator clearing, and resultants and
-discriminants as Sylvester determinants, which the package only takes of
-small polynomials (a cover's numerator and denominator, the radical of
-F(X, 1)).  sympy is used in one place only, to factor over Q.
+arithmetic: ring operations, denominator clearing, and resultants as
+Sylvester determinants, which the package only takes of small polynomials (a
+cover's numerator and denominator).  sympy factors over Q and takes
+discriminants (of the radical of F(X, 1)).
 """
 from __future__ import annotations
 
@@ -58,16 +58,17 @@ def scale(f: Coeffs, r: Fraction) -> Coeffs:
     return poly([c * r for c in f])
 
 
-def derivative(f: Coeffs) -> Coeffs:
-    return poly([i * c for i, c in enumerate(f)][1:])
-
-
 def clear_denominators(f: Coeffs) -> tuple[Coeffs, int]:
     """Return (m*f, m) with m the least positive integer making m*f integral."""
     m = 1
     for c in f:
         m = m * c.denominator // math.gcd(m, c.denominator)
     return scale(f, m), m
+
+
+def _sympy_poly(f: Coeffs) -> sympy.Poly:
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f)],
+                      sympy.Symbol("x"))
 
 
 def factor_over_q(f: Coeffs) -> tuple[Fraction, list[tuple[Coeffs, int]]]:
@@ -80,9 +81,7 @@ def factor_over_q(f: Coeffs) -> tuple[Fraction, list[tuple[Coeffs, int]]]:
     """
     if degree(f) < 1:
         return (f[0] if f else Fraction(0)), []
-    x = sympy.Symbol("x")
-    p = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f)], x)
-    content, factors = p.factor_list()
+    content, factors = _sympy_poly(f).factor_list()
     out = []
     for fac, mult in factors:
         cs = [Fraction(c.p, c.q) for c in reversed(fac.all_coeffs())]
@@ -90,6 +89,14 @@ def factor_over_q(f: Coeffs) -> tuple[Fraction, list[tuple[Coeffs, int]]]:
     out.sort(key=lambda fm: (degree(fm[0]), fm[0]))
     c = Fraction(content.p, content.q)
     return c, out
+
+
+def discriminant(f: Coeffs) -> Fraction:
+    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lead(f), taken by sympy."""
+    if degree(f) < 1:
+        raise DomainError("discriminant needs degree >= 1")
+    disc = _sympy_poly(f).discriminant()
+    return Fraction(disc.p, disc.q)
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +165,3 @@ def resultant(f: Coeffs, g: Coeffs, m: int | None = None, n: int | None = None) 
         return g[0] ** m
     return det_exact(sylvester_matrix(f, g, m, n))
 
-
-def discriminant(f: Coeffs) -> Fraction:
-    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lead(f)."""
-    n = degree(f)
-    if n < 1:
-        raise DomainError("discriminant needs degree >= 1")
-    if n == 1:
-        return Fraction(1)
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(f, derivative(f), n, n - 1) / f[-1]

@@ -28,7 +28,6 @@ from ._intervals import (
     from_iv,
     iv_from_fraction,
     log_interval,
-    log_plus_interval,
 )
 from .errors import BudgetExceeded, DomainError, SpecError
 
@@ -466,7 +465,8 @@ def log_plus(q: Fraction, place: Place) -> LocalValue:
     """log+ |q|_v = log max(1, |q|_v), exact at finite places."""
     q = Fraction(q)
     if place.is_archimedean:
-        enc = log_plus_interval(q)
+        # |q| <= 1 is an exact rational comparison: log+ is then exactly 0
+        enc = log_interval(abs(q)) if abs(q) > 1 else Interval.zero()
         return LocalValue.interval(enc.lo, enc.hi)
     p = place.prime
     if q == 0:

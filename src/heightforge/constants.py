@@ -6,7 +6,9 @@ the combined bad-place constant 𝔠, the pigeonhole gap δ, and the assembled
 lower-bound data (orbit bound, ε, C) for wandering points.  All finite-place
 values are exact rational multiples of log p; all archimedean values are
 exact rational combinations of logs of rationals (LogSum), so every
-comparison made here is decided by integer arithmetic.
+comparison made here is exact: LogSum.compare tests the difference for
+zero exactly, then refines outward-rounded enclosures until its sign is
+certain.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from typing import Mapping, Optional
 
 from . import _polys
 from .arith import (
+    _INT_STR_DIGITS,
     INF,
     LogSum,
     Place,
@@ -224,8 +227,11 @@ def pigeonhole_delta(fam: Family) -> Fraction:
 
 
 def _over_2_d_power(log_x: float, d: int, orbit_bound: int) -> float:
-    """x / (2 d^orbit_bound) as a float from log x, taken through logs since
-    d^orbit_bound overflows; 0.0 once it underflows (below e^-745)."""
+    """x / (2 d^orbit_bound) as a float from log x < 710, taken through logs
+    since d^orbit_bound overflows; 0.0 once it underflows (below e^-745),
+    as it does for every orbit_bound >= 4096 (d >= 2), never made a float."""
+    if orbit_bound >= 4096:
+        return 0.0
     log_q = log_x - math.log(2) - orbit_bound * math.log(d)
     return math.exp(log_q) if log_q > -745 else 0.0
 
@@ -357,13 +363,17 @@ def theorem1_constants(fam: Family, s: int) -> ConstantsReport:
             a=mk_a(fam),
             b=mk_b(fam),
         )
+    s_size = s + 1
+    # orbitBound must print; the int s + 1 is compared with a float, exactly,
+    # so a huge s is refused before the power is built
+    if (s_size > _INT_STR_DIGITS / math.log10(d + 2)
+            or (orbit_bound := 2 * (d + 2) ** s_size) >= 10**_INT_STR_DIGITS):
+        raise DomainError(f"orbitBound would have more than {_INT_STR_DIGITS} digits")
     a = mk_a(fam)
     b = mk_b(fam)
     ev = mk_mvt(fam)
     c = _mk_c(fam)
     delta = pigeonhole_delta(fam)
-    s_size = s + 1
-    orbit_bound = 2 * (d + 2) ** s_size
     eps = EpsilonSymbolic(delta=delta, d=d, orbit_bound=orbit_bound)
     # C numerator: the worst per-place charge, summed over the support
     c_num = c.arch + LogSum(c.finite)
@@ -424,8 +434,9 @@ class ResultantBound:
 
 
 def resultant_bound_check(fam: Family, t: Fraction) -> ResultantBound:
-    """Exact check that log|Res| <= (2d^2/e) h(t) + 2d h(a_D), decided by
-    integer arithmetic (both sides are exact log sums).  log|Res| is read
+    """Exact check that log|Res| <= (2d^2/e) h(t) + 2d h(a_D): both sides
+    are exact log sums, compared by LogSum.compare (an exact zero test, then
+    outward-rounded enclosures until the sign is certain).  log|Res| is read
     from Res = M^{2d} a_D^d and the factorization of M, so Res is never
     factored; h(t) goes through the map's `factor`, so the primes of den t
     that M already holds are not searched for again."""

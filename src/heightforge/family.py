@@ -192,17 +192,6 @@ def build_family(coeffs: Sequence[Fraction | int | str], e: int) -> Family:
     return Family(e=e, form=form)
 
 
-def specialize(fam: Family, t: Fraction) -> Coeffs:
-    """f_t as a dense constant-first coefficient list of length d + 1:
-    the coefficient of z^(e j) is a_j t^(D-j)."""
-    t = Fraction(t)
-    D = fam.deg_form
-    out = [Fraction(0)] * (fam.d + 1)
-    for j in range(D + 1):
-        out[fam.e * j] = fam.coefficient(j) * t ** (D - j)
-    return tuple(out)
-
-
 class _FiniteGreenData:
     """Per-(family, t, p) data for the finite-place Green algorithms, read
     from the form coefficients b = (b_0, ..., b_D) of f_t(z) = sum_j b_j z^(e j).
@@ -262,7 +251,8 @@ class SpecializedMap:
 
     def __init__(self, fam: Family, t: Fraction):
         self.e, self.d = fam.e, fam.d
-        self.ze_coeffs = specialize(fam, t)[:: fam.e]
+        D = fam.deg_form
+        self.ze_coeffs = tuple(fam.coefficient(j) * t ** (D - j) for j in range(D + 1))
         self._green_data: dict[int, _FiniteGreenData] = {}
 
     def __call__(self, z: Fraction) -> Fraction:
@@ -354,6 +344,14 @@ class SpecializedMap:
 def specialized(fam: Family, t: Fraction) -> SpecializedMap:
     """The memoized SpecializedMap of fam at t."""
     return SpecializedMap(fam, Fraction(t))
+
+
+def specialize(fam: Family, t: Fraction) -> Coeffs:
+    """f_t as a dense constant-first coefficient list of length d + 1: the
+    map's b_j at z^(e j), zero elsewhere."""
+    out = [Fraction(0)] * (fam.d + 1)
+    out[:: fam.e] = specialized(fam, t).ze_coeffs
+    return tuple(out)
 
 
 def monic_normalize(fam: Family) -> tuple[Family, Fraction]:

@@ -100,7 +100,6 @@ from ._intervals import (
     iv_prec,
     log_interval,
     log_iv,
-    sum_intervals,
     to_float53,
 )
 from ._padics import PAdic
@@ -452,13 +451,6 @@ def local_green(
 # ---------------------------------------------------------------------------
 
 
-def _height_places(fam: Family, t: Fraction, z: Fraction) -> list[Place]:
-    """Places where G can be nonzero: infinity plus the map's bad primes for
-    z, those of M and of den z (everywhere else the orbit stays p-integral,
-    so G = 0)."""
-    return [INF] + [Place.finite(p) for p in specialized(fam, t).bad_primes(z)]
-
-
 def canonical_height(
     fam: Family,
     t: Fraction,
@@ -482,25 +474,28 @@ def canonical_height(
         return _canonical_global(fam, t, z, tol)
     if method != "local":
         raise DomainError(f"unknown canonical height method: {method!r}")
-    places = _height_places(fam, t, z)
+    # G can be nonzero only at infinity and the map's bad primes for z, those
+    # of M and of den z: everywhere else the orbit stays p-integral
+    places = [INF] + [Place.finite(p) for p in specialized(fam, t).bad_primes(z)]
     tol_inf, tol_fin = tol / 2, tol / (2 * max(1, len(places) - 1))
     if tol_fin == 0:  # the smaller share underflowed
         raise DomainError(f"tol {tol!r} is too small to split over {len(places)} places")
-    parts = []
+    total = Interval.zero()
     for v in places:
         tol_v = tol_inf if v.is_archimedean else tol_fin
-        parts.append(local_green(fam, t, v, z, tol_v, budget).enclosure())
-    return sum_intervals(parts).clamp_nonneg()
+        total = total + local_green(fam, t, v, z, tol_v, budget).enclosure()
+    return total.clamp_nonneg()
 
 
 def _canonical_global(fam: Family, t: Fraction, z: Fraction, tol: float) -> Interval:
     fmap = specialized(fam, t)
     d = fmap.d
+    too_tight = "tolerance too tight for the global telescoping method; use the local method"
     cf = height_defect_bound(fam, t)
-    if cf == 0:
-        n_steps = 1
-    else:
-        n_steps = 1 + max(0, math.ceil(math.log(2 * cf / ((d - 1) * tol)) / math.log(d)))
+    ratio = 2 * cf / ((d - 1) * tol)
+    if ratio == math.inf:  # tol is below the float resolution of the tail
+        raise DomainError(too_tight)
+    n_steps = 1 if ratio <= 1 else 1 + math.ceil(math.log(ratio) / math.log(d))
     base_bits = (
         z.numerator.bit_length()
         + z.denominator.bit_length()
@@ -510,10 +505,7 @@ def _canonical_global(fam: Family, t: Fraction, z: Fraction, tol: float) -> Inte
         )
     )
     if base_bits * d**n_steps > 4_000_000:
-        raise DomainError(
-            "tolerance too tight for the global telescoping method; "
-            "use the local method"
-        )
+        raise DomainError(too_tight)
     w, _ = next(itertools.islice(fmap.orbit(z), n_steps, None))
     tail = cf / ((d - 1) * d ** (n_steps - 1))
     h_n = _naive_height_interval(w).scale(Fraction(1, d**n_steps))

@@ -44,6 +44,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 from sympy import integer_nthroot
 
 from .arith import (
+    _MAX_INTEGER_DIGITS,
     INF,
     Place,
     _naive_height_interval,
@@ -343,26 +344,14 @@ def bad_place_obstruction(fam: Family, t: Fraction) -> list[ObstructionRecord]:
             continue
         k = -m  # v_p(t) < 0 since p divides the denominator
         if k % fam.e != 0:
-            out.append(
-                ObstructionRecord(
-                    Place.finite(p),
-                    True,
-                    None,
-                    f"v_{p}(t) = {k} is not divisible by e = {fam.e}: "
-                    f"|z|^e = |t| has no solution, so no rational point is "
-                    f"preperiodic for this parameter",
-                )
-            )
+            forced = None
+            reason = (f"v_{p}(t) = {k} is not divisible by e = {fam.e}: "
+                      f"|z|^e = |t| has no solution, so no rational point is "
+                      f"preperiodic for this parameter")
         else:
             forced = k // fam.e
-            out.append(
-                ObstructionRecord(
-                    Place.finite(p),
-                    False,
-                    forced,
-                    f"every preperiodic point must have v_{p}(z) = {forced}",
-                )
-            )
+            reason = f"every preperiodic point must have v_{p}(z) = {forced}"
+        out.append(ObstructionRecord(Place.finite(p), forced is None, forced, reason))
     return out
 
 
@@ -400,6 +389,10 @@ def power_criterion(d: int, m: int, t: Fraction) -> CriterionResult:
     if t == 0:
         raise DomainError("t = 0 is degenerate for the power criterion")
     x, y = t.numerator, t.denominator
+    n = max(abs(x), y)
+    # n^m has m log10(n) digits or more; a huge int m is compared, never converted
+    if n > 1 and m >= _MAX_INTEGER_DIGITS / math.log10(n):
+        raise DomainError(f"x^m + y^m would have more than {_MAX_INTEGER_DIGITS} digits")
     value = x**m + y**m
     if value == 0:
         return CriterionResult(True, 0, 0)
@@ -512,13 +505,16 @@ def _rationals_in_box(bound: float) -> list[Fraction]:
     size = _box_size(bound)
     if 12 / math.pi**2 * size**2 > _MAX_BOX_PARAMETERS:
         raise DomainError(f"t-box of height {bound} exceeds {_MAX_BOX_PARAMETERS} parameters")
-    out = [Fraction(0)]
-    for den in range(1, size + 1):
+    return sorted([Fraction(0), *_plus_minus(range(1, size + 1), size)])
+
+
+def _plus_minus(dens: Iterable[int], size: int) -> Iterator[Fraction]:
+    """+-num/den in lowest terms for each den in turn and 1 <= num <= size."""
+    for den in dens:
         for num in range(1, size + 1):
             if math.gcd(num, den) == 1:
-                out.append(Fraction(num, den))
-                out.append(Fraction(-num, den))
-    return sorted(out)
+                yield Fraction(num, den)
+                yield Fraction(-num, den)
 
 
 def _candidate_points(
@@ -531,9 +527,7 @@ def _candidate_points(
     put z in an escape region.  More than _MAX_BOX_PARAMETERS candidates
     (2 N per denominator) are refused first."""
     size = _box_size(z_bound)
-    base = 1
-    for p, k in forced.items():
-        base *= p ** (-k)
+    base = math.prod(p ** -k for p, k in forced.items())
     if base > size:
         return
     fmap = specialized(fam, t)
@@ -551,11 +545,7 @@ def _candidate_points(
         raise DomainError(f"z-box of height {z_bound} exceeds {_MAX_BOX_PARAMETERS} candidates")
     if base == 1:
         yield Fraction(0)
-    for den in sorted(dens):
-        for num in range(1, size + 1):
-            if math.gcd(num, den) == 1:
-                yield Fraction(num, den)
-                yield Fraction(-num, den)
+    yield from _plus_minus(sorted(dens), size)
 
 
 def _criterion_shape(fam: Family, cover: Optional[CoverAnalysis]) -> Optional[tuple[int, int]]:
@@ -591,7 +581,6 @@ def _scan_one(
         "obstructed": False,
         "findings": [],
         "unresolved": [],
-        "checked": 0,
         "heights": {},
     }
     if cover is not None:
@@ -617,7 +606,6 @@ def _scan_one(
     }
     buckets: dict[int, int] = {}  # max(|num z|, den z) -> floor(h(z))
     for z in _candidate_points(fam, param, z_bound, forced):
-        res["checked"] += 1
         record = iterate_orbit(fam, param, z, budget)
         size = max(abs(z.numerator), z.denominator)
         bucket = buckets.get(size)
@@ -687,12 +675,11 @@ def scan(
     findings: list[Finding] = []
     unresolved: list[tuple[Fraction, Fraction]] = []
     counts: dict[int, int] = {}
-    n_crit = n_obstructed = n_pole = n_checked = 0
+    n_crit = n_obstructed = n_pole = 0
     for res in results:
         n_pole += res["pole"]
         n_crit += res["criterion"]
         n_obstructed += res["obstructed"]
-        n_checked += res["checked"]
         findings.extend(res["findings"])
         unresolved.extend(res["unresolved"])
         for bucket, count in res["heights"].items():
@@ -711,6 +698,6 @@ def scan(
         t_filtered_criterion=n_crit,
         t_obstructed=n_obstructed,
         t_skipped_pole=n_pole,
-        candidates_checked=n_checked,
+        candidates_checked=sum(counts.values()),  # each candidate lands in one bucket
         unresolved=tuple(unresolved),
     )

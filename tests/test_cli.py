@@ -176,12 +176,18 @@ def test_bad_place_exit_1(capsys):
 
 
 def test_domain_error_exit_2(capsys):
-    code, out = run_cli(
-        capsys, "pairing", "--family", FAM2, "--t", "1", "--place", "inf",
-        "--x", "1", "--y", "1",
-    )
-    assert code == 2
-    assert out["error"]["kind"] == "domain"
+    for argv in (
+        ("pairing", "--family", FAM2, "--t", "1", "--place", "inf", "--x", "1", "--y", "1"),
+        # values refused before they are computed: x^m + y^m past the integer
+        # cap, an infinite telescoping step count, an unprintable orbitBound
+        ("criterion", "--d", "2", "--m", "1000000000", "--t", "3"),
+        ("height", "--family", FAM2, "--t", "3", "--z", "1/2", "--method", "global",
+         "--tol", "5e-324"),
+        ("constants", "--family", FAM632, "--bad-places", "4761"),
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out["error"]["kind"] == "domain"
 
 
 def test_criterion_t_zero_exit_2(capsys):

@@ -1,6 +1,7 @@
 """Explicit constants: values on pinned examples plus exact defining-inequality
 oracles."""
 import functools
+import json
 import math
 import random
 from fractions import Fraction
@@ -397,6 +398,20 @@ def test_theorem1_monotone_in_s():
             assert eps <= prev
         prev = eps
         assert rep.orbit_bound == 2 * 6 ** (s + 1)
+
+
+def test_theorem1_orbit_bound_past_the_float_range():
+    # z^6 - 3 t z^3 + t^2: past s = 339 the orbit bound 2 * 8^(s+1) is past
+    # the float range, and epsilon and C underflow to 0.0; past s = 4 760 it
+    # would print in more than 4 300 digits, and is refused before it is built
+    fam = build_family([1, -3, 1], 3)
+    for s in (339, 340, 4760):
+        js = json.loads(json.dumps(theorem1_constants(fam, s).to_json()))
+        assert js["orbitBound"] == 2 * 8 ** (s + 1)
+        assert js["epsilon"]["float"] == 0.0 == js["C"]["float"]
+    for s in (4761, 10**400):
+        with pytest.raises(DomainError, match="4300 digits"):
+            theorem1_constants(fam, s)
 
 
 def test_theorem1_c_positive_and_cached():

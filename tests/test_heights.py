@@ -557,8 +557,14 @@ def test_canonical_rejects_bad_method():
 
 
 def test_global_method_guards_tolerance():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="too tight"):
         canonical_height(Z2T, Fraction(1, 3), Fraction(5, 7), 1e-9, method="global")
+    # the least float: the step count is infinite, refused the same way
+    with pytest.raises(DomainError, match="too tight"):
+        canonical_height(Z2T, Fraction(3), Fraction(1, 2), 5e-324, method="global")
+    # (d - 1) tol overflows to inf for d = 3: one step, not a log of 0
+    enc = canonical_height(Z3T, Fraction(3), Fraction(1, 2), 1e308, method="global")
+    assert enc.lo == 0.0
 
 
 # -- pair Green function --------------------------------------------------------------

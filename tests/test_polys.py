@@ -38,12 +38,6 @@ def test_ring_ops():
         assert P.evaluate(P.scale(f, Fraction(3, 2)), x) == Fraction(3, 2) * P.evaluate(f, x)
 
 
-def test_derivative():
-    f = P.poly([5, 0, 1, 2])  # 2x^3 + x^2 + 5
-    assert P.derivative(f) == (Fraction(0), Fraction(2), Fraction(6))
-    assert P.derivative((Fraction(7),)) == ()
-
-
 def test_clear_denominators():
     f = P.poly(["1/6", "3/4", 2])
     g, m = P.clear_denominators(f)

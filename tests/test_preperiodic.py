@@ -464,6 +464,13 @@ def test_power_criterion_errors():
         power_criterion(2, 4, Fraction(0))
     with pytest.raises(DomainError):
         power_criterion(1, 4, Fraction(1))
+    # x^m + y^m is refused before it is computed once 10^m or 3^m passes
+    # 131 072 digits, and a huge m is never converted to a float
+    assert power_criterion(2, 131_071, Fraction(10)).value == 10**131_071 + 1  # 131 072 digits
+    for m, t in ((131_072, Fraction(10)), (10**9, Fraction(3)), (10**400, Fraction(1, 2))):
+        with pytest.raises(DomainError, match="131072 digits"):
+            power_criterion(2, m, t)
+    assert power_criterion(2, 10**400 + 1, Fraction(-1)).value == 0  # (-1)^m + 1^m
 
 
 def test_find_nonpower_place_examples():
