@@ -15,6 +15,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath.libmp import (
     from_float,
@@ -149,3 +150,10 @@ def log_interval(q: Fraction, prec: int = DEFAULT_PREC) -> Interval:
         raise ValueError("log of a nonpositive rational")
     return log_iv(iv_from_fraction(q, prec), prec)
 
+
+@lru_cache(maxsize=256)
+def log_prime(p: int) -> Interval:
+    """log_interval(p) at DEFAULT_PREC for a prime p, computed once per prime
+    and shared by every exact multiple of log p (the last 256 primes read
+    are kept)."""
+    return log_interval(Fraction(p))

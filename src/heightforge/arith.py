@@ -28,6 +28,7 @@ from ._intervals import (
     from_iv,
     iv_from_fraction,
     log_interval,
+    log_prime,
 )
 from .errors import BudgetExceeded, DomainError, SpecError
 
@@ -322,7 +323,7 @@ class LocalValue:
         if self.is_exact:
             if self.coeff == 0:
                 return Interval.zero()
-            return log_interval(Fraction(self.prime)).scale(self.coeff)
+            return log_prime(self.prime).scale(self.coeff)
         return Interval(self.lo, self.hi)
 
     def to_json(self) -> dict:

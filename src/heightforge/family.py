@@ -221,11 +221,6 @@ class _FiniteGreenData:
         # upper-bound constant in valuation units
         self.c_up = max([Fraction(0)] + [Fraction(-v) for _, v in terms])
 
-    @cached_property
-    def log_p(self) -> Interval:
-        """Enclosure of log p."""
-        return log_interval(Fraction(self.p))
-
     def escape_value(self, vw: int, n: int) -> LocalValue:
         coeff = (Fraction(-vw) - Fraction(self.v_lead, self.d - 1)) / self.d**n
         return LocalValue.exact(coeff, self.p)

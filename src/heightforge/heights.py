@@ -100,6 +100,7 @@ from ._intervals import (
     iv_prec,
     log_interval,
     log_iv,
+    log_prime,
     to_float53,
 )
 from ._padics import PAdic
@@ -241,7 +242,7 @@ def _finite_green(
     fmap: SpecializedMap, p: int, z: Fraction, tol: float, budget: int
 ) -> GreenResult:
     b, e, data = fmap.ze_coeffs, fmap.e, fmap.green_data(p)
-    log_p = data.log_p
+    log_p = log_prime(p)
 
     def exit_at(vw: Optional[int], n: int, repeat: bool = False) -> Optional[GreenResult]:
         """The exit that fires at z_n, where v(z_n) = vw (None: v = +infinity)

@@ -240,7 +240,9 @@ def _positive_green_bound(
     fam: Family, t: Fraction, place: Place, z: Fraction
 ) -> float:
     """A certified positive lower bound for G_place(z), given that the orbit
-    escapes at `place`; the tolerance is halved until the enclosure clears 0."""
+    escapes at `place`; the tolerance is quartered until the enclosure clears
+    0.  It serves archimedean witnesses: a finite witness's bound is read in
+    closed form (`_escape_bound`)."""
     tol = 1e-6
     for _ in range(80):
         enc = local_green(fam, t, place, z, tol=tol).enclosure()
@@ -250,27 +252,47 @@ def _positive_green_bound(
     raise BudgetExceeded("could not separate the escape-place Green value from 0")
 
 
+def _escape_bound(fmap: SpecializedMap, p: int, points: Sequence[Fraction]) -> Optional[float]:
+    """The lower end of G_p(z) = d^-n (-v(z_n) - v(b_D)/(d-1)) log p for the
+    orbit `points` = (z_0, z_1, ...), read in closed form at its first point
+    z_n in the escape region at p; None when no point is.  It is the
+    enclosure local_green's exact-escape exit returns there, with no Green
+    loop."""
+    data = fmap.green_data(p)
+    for n, w in enumerate(points):
+        vw = vp_or_none(w, p)
+        if vw is not None and vw < data.theta:
+            return data.escape_value(vw, n).enclosure().lo
+    return None
+
+
 def certify_point(fam: Family, t: Fraction, z: Fraction) -> Certificate:
     """Classify z as preperiodic or wandering under f_t, with a certificate.
 
     Alternates orbit extension with canonical-height tolerance halving:
     preperiodic rationals repeat in finitely many exact steps, and wandering
     rationals either enter a certified escape region at some place or get a
-    canonical-height enclosure with positive lower end.
+    canonical-height enclosure with positive lower end.  A finite escape
+    place's bound is G_p(z) in closed form at the first escaping point; an
+    archimedean one comes from the Green loop.
     """
     t, z = Fraction(t), Fraction(z)
     if fam.monic:
         for rec in bad_place_obstruction(fam, t):
             if rec.obstructed:
-                # the equation |z|^e = |t| has no rational solution at this
-                # place, so z sits in its escape region: G there is positive.
+                # outside the exceptional set theta_p = v(t)/e, and e does not
+                # divide v(t), so v(z) != v(t)/e: either v(z) < theta_p and z
+                # escapes, or v(z) > v(t)/e, the constant term a_0 t^D
+                # dominates and v(f(z)) = D v(t) < theta_p.  So z or f(z) lies
+                # in the escape region and G_p(z) > 0 is read in closed form.
                 # The record is the one step z, f(z), with no prime set found
-                bound = _positive_green_bound(fam, t, rec.place, z)
+                fmap = specialized(fam, t)
+                record = OrbitRecord((z, fmap(z)), OrbitTruncated(1))
+                bound = _escape_bound(fmap, rec.place.prime, record.points)
+                if bound is None:  # not reached, by the argument above
+                    bound = _positive_green_bound(fam, t, rec.place, z)
                 return Certificate(
-                    "wandering",
-                    OrbitRecord((z, specialized(fam, t)(z)), OrbitTruncated(1)),
-                    hhat_lower_bound=bound,
-                    witness=rec.place,
+                    "wandering", record, hhat_lower_bound=bound, witness=rec.place
                 )
     steps = 32
     tol = 1e-4
@@ -285,13 +307,14 @@ def certify_point(fam: Family, t: Fraction, z: Fraction) -> Certificate:
                 period=record.event.period,
             )
         if isinstance(record.event, EscapeCertified):
-            bound = _positive_green_bound(fam, t, record.event.place, z)
-            return Certificate(
-                "wandering",
-                record,
-                hhat_lower_bound=bound,
-                witness=record.event.place,
-            )
+            # no earlier point escaped anywhere, so z_step is the first at a
+            # finite witness p
+            place = record.event.place
+            if place.is_archimedean:
+                bound = _positive_green_bound(fam, t, place, z)
+            else:
+                bound = _escape_bound(specialized(fam, t), place.prime, record.points)
+            return Certificate("wandering", record, hhat_lower_bound=bound, witness=place)
         enc = canonical_height(fam, t, z, tol)
         if enc.lo > 0:
             return Certificate(

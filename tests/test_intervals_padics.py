@@ -10,6 +10,7 @@ from heightforge._intervals import (
     from_iv,
     iv_from_fraction,
     log_interval,
+    log_prime,
 )
 from heightforge._padics import PAdic
 from heightforge.arith import INF, LocalValue, log_plus, padic_valuation
@@ -77,6 +78,20 @@ def test_log_interval_huge_values():
     ref = 200 * math.log(2)
     assert enc.lo <= ref <= enc.hi
     assert enc.width < 1e-10
+
+
+def test_log_prime_is_log_interval_cached():
+    # small and nine-digit primes, each read cold and then from the cache
+    primes = (2, 3, 7, 101, 999999937, 999999929)
+    log_prime.cache_clear()
+    for p in primes * 2:
+        assert log_prime(p) == log_interval(Fraction(p))
+    info = log_prime.cache_info()
+    assert (info.misses, info.hits) == (len(primes), len(primes))
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    # an exact multiple of log p encloses through the cache
+    assert LocalValue.exact(Fraction(3, 2), 999999937).enclosure() == (
+        log_interval(Fraction(999999937)).scale(Fraction(3, 2)))
 
 
 def test_log_plus_interval():

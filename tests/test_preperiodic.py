@@ -2,6 +2,7 @@
 import itertools
 import json
 import math
+import pathlib
 import random
 import sys
 from fractions import Fraction
@@ -12,14 +13,15 @@ from hypothesis import given, settings, strategies as st
 from heightforge import arith, family
 from heightforge.arith import INF, Place, padic_valuation, support, vp_or_none
 from heightforge.constants import _mk_c, exceptional_places, pigeonhole_delta, theorem1_constants
-from heightforge._intervals import Interval
+from heightforge._intervals import Interval, log_prime
 from heightforge.errors import BudgetExceeded, DomainError
-from heightforge.family import analyze_cover, build_family, specialized
+from heightforge.family import Family, analyze_cover, build_family, specialized
 from heightforge.heights import (
     GreenResult,
     _naive_height_interval,
     arakelov_green,
     canonical_height,
+    local_green,
     naive_height,
 )
 from heightforge import preperiodic
@@ -42,6 +44,7 @@ Z2T = build_family([1, 1], 2)
 Z3T = build_family([1, 1], 3)
 Z4T2 = build_family([1, 0, 1], 2)  # z^4 + t^2
 NONMONIC = build_family([3, 1], 2)  # 3z^2 + t
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
 # -- orbit iteration ---------------------------------------------------------------
@@ -326,22 +329,81 @@ def _green(enc):
 
 
 def test_positive_green_bound_retries(monkeypatch):
-    # t = 1/3 is obstructed at 3, so certify_point asks for a positive bound
-    # on G_3(1/2), quartering the tol while the enclosure touches 0; its
-    # record is the one step 1/2, f(1/2) = 7/12, and no orbit is iterated
-    _, records = _orbits_without_escape(monkeypatch)
+    # at t = 1 the orbit 2, 5 escapes at infinity (|5| > R_esc = 2), so
+    # certify_point asks the Green loop for a positive bound on G_inf(2),
+    # quartering the tol while the enclosure touches 0
     tols = []
     monkeypatch.setattr(preperiodic, "local_green", _first_undecided(1, tols, _green))
-    cert = certify_point(Z2T, Fraction(1, 3), Fraction(1, 2))
+    cert = certify_point(Z2T, Fraction(1), Fraction(2))
     assert tols == [1e-6, 2.5e-7]
-    assert cert.witness == Place.finite(3) and cert.hhat_lower_bound == 0.25
-    assert cert.orbit.points == (Fraction(1, 2), Fraction(7, 12))
-    assert cert.orbit.event == OrbitTruncated(1) and records == []
+    assert cert.witness == INF and cert.hhat_lower_bound == 0.25
+    assert cert.orbit.points == (Fraction(2), Fraction(5))
+    assert cert.orbit.event == EscapeCertified(INF, 1)
     tols.clear()
     monkeypatch.setattr(preperiodic, "local_green", _first_undecided(math.inf, tols, _green))
     with pytest.raises(BudgetExceeded, match="could not separate"):
-        certify_point(Z2T, Fraction(1, 3), Fraction(1, 2))
+        certify_point(Z2T, Fraction(1), Fraction(2))
     assert len(tols) == 80
+
+
+def _finite_witness_certificates():
+    """Seeded certify_point cases with a finite witness, as (family, t, z,
+    certificate): over z^2 + t, z^3 + t, z^4 + t^2, the weighted632 fixture
+    (z^6 - 3 t z^3 + t^2) and 3 z^2 + t, at parameters a/p^k and points
+    whose denominators are powers of small primes."""
+    spec = json.loads((FIXTURES / "weighted632.json").read_text())
+    fams = [Z2T, Z3T, Z4T2, Family.from_json(spec), NONMONIC]
+    rng = random.Random(17)
+    primes = (2, 3, 5, 7, 11)
+    out = []
+    for fam in fams:
+        for _ in range(60):
+            p = rng.choice(primes)
+            a = rng.choice([a for a in range(-9, 10) if a % p])
+            t = Fraction(a, p ** rng.randint(1, 2 * fam.e))
+            z = Fraction(rng.randint(-20, 20), rng.choice(primes) ** rng.randint(0, 3))
+            cert = certify_point(fam, t, z)
+            if isinstance(cert.witness, Place) and not cert.witness.is_archimedean:
+                out.append((fam, t, z, cert))
+    return out
+
+
+def test_finite_witness_bound_is_the_green_loops_value(monkeypatch):
+    cases = _finite_witness_certificates()
+    obstructed = [c for c in cases if isinstance(c[3].orbit.event, OrbitTruncated)]
+    escaped = [c for c in cases if isinstance(c[3].orbit.event, EscapeCertified)]
+    assert len(obstructed) + len(escaped) == len(cases)
+    # the obstructed branch reads z itself and, when z does not escape, f(z)
+    def escapes(fam, t, w, p):
+        v = vp_or_none(w, p)
+        return v is not None and v < specialized(fam, t).green_data(p).theta
+
+    steps = {1 - escapes(fam, t, z, cert.witness.prime) for fam, t, z, cert in obstructed}
+    assert steps == {0, 1} and {c[3].orbit.event.step for c in escaped} >= {0, 1}
+    for fam, t, z, cert in cases:
+        green = local_green(fam, t, cert.witness, z, tol=1e-6).enclosure()
+        assert cert.hhat_lower_bound == green.lo > 0, (fam, t, z)
+    # no Green loop is run for a finite witness
+    def refuse(*args, **kwargs):
+        raise AssertionError("local_green called for a finite witness")
+
+    monkeypatch.setattr(preperiodic, "local_green", refuse)
+    for fam, t, z, cert in cases:
+        assert certify_point(fam, t, z).to_json() == cert.to_json()
+
+
+def test_results_do_not_depend_on_the_log_prime_cache():
+    calls = (
+        lambda: canonical_height(Z2T, Fraction(1, 4), Fraction(3, 2), 1e-9),
+        lambda: local_green(Z3T, Fraction(1, 7), Place.finite(7), Fraction(2, 7), 1e-9).to_json(),
+        lambda: certify_point(Z2T, Fraction(1, 3), Fraction(1, 2)).to_json(),
+        lambda: certify_point(Z2T, Fraction(1, 4), Fraction(1, 6)).to_json(),
+    )
+    for call in calls:
+        log_prime.cache_clear()
+        cold = call()
+        hits = log_prime.cache_info().hits
+        assert call() == cold and log_prime.cache_info().hits > hits
 
 
 def test_certify_point_retries(monkeypatch):
