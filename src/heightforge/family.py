@@ -225,6 +225,11 @@ class _FiniteGreenData:
         coeff = (Fraction(-vw) - Fraction(self.v_lead, self.d - 1)) / self.d**n
         return LocalValue.exact(coeff, self.p)
 
+    def escapes(self, vw: Optional[int]) -> bool:
+        """Whether a point with v = vw (None: v = +infinity) lies in the
+        escape region at p."""
+        return vw is not None and vw < self.theta
+
     def in_disk(self, vw: Optional[int]) -> bool:
         """vw = None encodes v = +infinity (the point 0)."""
         if not self.disk_feasible:

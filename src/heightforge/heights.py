@@ -254,7 +254,7 @@ def _finite_green(
                 best=(0.0, float(data.upper_bound(vw, n)) * log_p.hi),
                 steps=n,
             )
-        if vw is not None and vw < data.theta:
+        if data.escapes(vw):
             return GreenResult(data.escape_value(vw, n), "exact-escape", n)
         if repeat or data.in_disk(vw):
             return GreenResult(LocalValue.exact(Fraction(0), p), "exact-bounded", n)

@@ -160,8 +160,7 @@ def _escape_place(fmap: SpecializedMap, z: Fraction, primes: Sequence[int]) -> O
     are exact rational comparisons.
     """
     for p in primes:
-        vw = vp_or_none(z, p)
-        if vw is not None and vw < fmap.green_data(p).theta:
+        if fmap.green_data(p).escapes(vp_or_none(z, p)):
             return Place.finite(p)
     if abs(z) > fmap.escape_radius:
         return INF
@@ -241,8 +240,8 @@ def _positive_green_bound(
 ) -> float:
     """A certified positive lower bound for G_place(z), given that the orbit
     escapes at `place`; the tolerance is quartered until the enclosure clears
-    0.  It serves archimedean witnesses: a finite witness's bound is read in
-    closed form (`_escape_bound`)."""
+    0.  It serves archimedean witnesses only: a finite witness's bound is
+    read in closed form at the first escaping point (`certify_point`)."""
     tol = 1e-6
     for _ in range(80):
         enc = local_green(fam, t, place, z, tol=tol).enclosure()
@@ -250,20 +249,6 @@ def _positive_green_bound(
             return enc.lo
         tol /= 4
     raise BudgetExceeded("could not separate the escape-place Green value from 0")
-
-
-def _escape_bound(fmap: SpecializedMap, p: int, points: Sequence[Fraction]) -> Optional[float]:
-    """The lower end of G_p(z) = d^-n (-v(z_n) - v(b_D)/(d-1)) log p for the
-    orbit `points` = (z_0, z_1, ...), read in closed form at its first point
-    z_n in the escape region at p; None when no point is.  It is the
-    enclosure local_green's exact-escape exit returns there, with no Green
-    loop."""
-    data = fmap.green_data(p)
-    for n, w in enumerate(points):
-        vw = vp_or_none(w, p)
-        if vw is not None and vw < data.theta:
-            return data.escape_value(vw, n).enclosure().lo
-    return None
 
 
 def certify_point(fam: Family, t: Fraction, z: Fraction) -> Certificate:
@@ -287,10 +272,15 @@ def certify_point(fam: Family, t: Fraction, z: Fraction) -> Certificate:
                 # in the escape region and G_p(z) > 0 is read in closed form.
                 # The record is the one step z, f(z), with no prime set found
                 fmap = specialized(fam, t)
+                data = fmap.green_data(rec.place.prime)
                 record = OrbitRecord((z, fmap(z)), OrbitTruncated(1))
-                bound = _escape_bound(fmap, rec.place.prime, record.points)
-                if bound is None:  # not reached, by the argument above
-                    bound = _positive_green_bound(fam, t, rec.place, z)
+                for n, w in enumerate(record.points):
+                    vw = vp_or_none(w, data.p)
+                    if data.escapes(vw):
+                        break
+                else:
+                    raise AssertionError(f"neither z nor f(z) escapes at obstructed {data.p}")
+                bound = data.escape_value(vw, n).enclosure().lo
                 return Certificate(
                     "wandering", record, hhat_lower_bound=bound, witness=rec.place
                 )
@@ -307,13 +297,15 @@ def certify_point(fam: Family, t: Fraction, z: Fraction) -> Certificate:
                 period=record.event.period,
             )
         if isinstance(record.event, EscapeCertified):
-            # no earlier point escaped anywhere, so z_step is the first at a
-            # finite witness p
-            place = record.event.place
+            # the orbit ends at its first escaping point z_n, n = step, so a
+            # finite witness p reads G_p(z) in closed form there
+            place, n = record.event.place, record.event.step
             if place.is_archimedean:
                 bound = _positive_green_bound(fam, t, place, z)
             else:
-                bound = _escape_bound(specialized(fam, t), place.prime, record.points)
+                data = specialized(fam, t).green_data(place.prime)
+                vw = vp_or_none(record.points[n], place.prime)
+                bound = data.escape_value(vw, n).enclosure().lo
             return Certificate("wandering", record, hhat_lower_bound=bound, witness=place)
         enc = canonical_height(fam, t, z, tol)
         if enc.lo > 0:

@@ -105,6 +105,20 @@ def test_certify_wandering(capsys):
     assert out["hhatLowerBound"] == pytest.approx(math.log(3) / 2)
 
 
+@pytest.mark.parametrize("t, z", [("1/3", "1/2"), ("1/4", "1/6")])
+def test_certify_finite_bound_is_greens_value(capsys, t, z):
+    # certify reads G_3(z) in closed form at the first escaping point: f(z)
+    # at the obstructed t = 1/3, z itself at t = 1/4; green runs the Green
+    # loop from z and at tol 1e-6 must give the same lower end
+    _, cert = run_cli(capsys, "certify", "--family", FAM2, "--t", t, "--z", z)
+    code, green = run_cli(
+        capsys, "green", "--family", FAM2, "--t", t, "--z", z,
+        "--place", cert["witness"], "--tol", "1e-6",
+    )
+    assert code == 0 and cert["witness"] == "3"
+    assert cert["hhatLowerBound"] == green["value_lo"]
+
+
 def test_cover_with_witness(capsys):
     code, out = run_cli(
         capsys, "cover", "--cover", str(FIXTURES / "quintic_cover.json"),

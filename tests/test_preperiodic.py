@@ -390,6 +390,13 @@ def test_finite_witness_bound_is_the_green_loops_value(monkeypatch):
     monkeypatch.setattr(preperiodic, "local_green", refuse)
     for fam, t, z, cert in cases:
         assert certify_point(fam, t, z).to_json() == cert.to_json()
+    # and the obstructed branch iterates no orbit
+    def no_orbit(*args, **kwargs):
+        raise AssertionError("iterate_orbit called for an obstructed parameter")
+
+    monkeypatch.setattr(preperiodic, "iterate_orbit", no_orbit)
+    for fam, t, z, cert in obstructed:
+        assert certify_point(fam, t, z).to_json() == cert.to_json()
 
 
 def test_results_do_not_depend_on_the_log_prime_cache():
