@@ -29,10 +29,11 @@ from ._intervals import (
     iv_from_fraction,
     log_interval,
     log_prime,
+    log_prime_iv,
 )
 from .errors import BudgetExceeded, DomainError, SpecError
 
-from mpmath.libmp import fzero, mpi_add, mpi_log, mpi_mul
+from mpmath.libmp import fzero, mpi_add, mpi_mul
 from sympy import perfect_power, primerange
 
 # ---------------------------------------------------------------------------
@@ -386,7 +387,7 @@ class LogSum:
             return Interval.zero()
         total = (fzero, fzero)
         for p, c in sorted(self.terms.items()):
-            log_p = mpi_log(iv_from_fraction(p, prec), prec)
+            log_p = log_prime_iv(p, prec)
             total = mpi_add(total, mpi_mul(log_p, iv_from_fraction(c, prec), prec), prec)
         return from_iv(total)
 

@@ -214,12 +214,14 @@ class _FiniteGreenData:
         least = least_root_valuation(terms)  # None when t = 0
         if least is not None:
             self.theta = min(self.theta, least)
+        self.theta_ceil = math.ceil(self.theta)  # v < theta iff v < theta_ceil
         # the disk {v >= rho} is invariant when v(b_0) >= rho and
-        # v(b_j) >= (1 - e j) rho for j >= 1: rho_lo <= rho <= v(b_0)
-        self.rho_lo = max([Fraction(0)] + [Fraction(-v, i - 1) for i, v in terms if i and v < 0])
+        # v(b_j) >= (1 - e j) rho for j >= 1; rho_lo is the least integer rho
+        # meeting the second condition, so one exists iff rho_lo <= v(b_0)
+        self.rho_lo = max([0] + [math.ceil(Fraction(-v, i - 1)) for i, v in terms if i and v < 0])
         self.disk_feasible = self.vb[0] is None or self.rho_lo <= self.vb[0]
         # upper-bound constant in valuation units
-        self.c_up = max([Fraction(0)] + [Fraction(-v) for _, v in terms])
+        self.c_up = max([0] + [-v for _, v in terms])
 
     def escape_value(self, vw: int, n: int) -> LocalValue:
         coeff = (Fraction(-vw) - Fraction(self.v_lead, self.d - 1)) / self.d**n
@@ -228,7 +230,7 @@ class _FiniteGreenData:
     def escapes(self, vw: Optional[int]) -> bool:
         """Whether a point with v = vw (None: v = +infinity) lies in the
         escape region at p."""
-        return vw is not None and vw < self.theta
+        return vw is not None and vw < self.theta_ceil
 
     def in_disk(self, vw: Optional[int]) -> bool:
         """vw = None encodes v = +infinity (the point 0)."""
@@ -236,10 +238,11 @@ class _FiniteGreenData:
             return False
         return vw is None or vw >= self.rho_lo
 
-    def upper_bound(self, vw: Optional[int], n: int) -> Fraction:
-        """Exact v-unit coefficient u with G <= u * log p given v(z_n) = vw."""
-        head = Fraction(0) if vw is None else max(Fraction(0), Fraction(-vw))
-        return (head + self.c_up / (self.d - 1)) / self.d**n
+    def upper_bound(self, vw: Optional[int], n: int) -> tuple[int, int]:
+        """Integers (num, den) with G <= (num / den) log p given v(z_n) = vw:
+        num / den = (max(0, -vw) + c_up / (d - 1)) / d^n."""
+        head = 0 if vw is None else max(0, -vw)
+        return head * (self.d - 1) + self.c_up, (self.d - 1) * self.d**n
 
 
 class SpecializedMap:

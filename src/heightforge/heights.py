@@ -39,31 +39,42 @@ At finite places the orbit is read from `SpecializedMap.orbit`, the one
 exact orbit of the package (with its repeat detection), while the rationals
 stay small, then carried on in windowed p-adic arithmetic with
 restart-on-precision-loss; both phases share one copy of the escape, disk,
-interval and budget exits.  Every orbit step is Horner's rule over b in z^e.
-The archimedean place carries z_n as a libmp endpoint pair at an explicit
-working precision (Horner steps rounded outward), restarting at twice the
-precision once the relative width of |z_n| passes 1e-10.  Its exits read
-|z_n| as two mpf endpoints rounded outward to 53 bits: the escape test
-against R_esc compares bit lengths and turns |z_n| into a (small) rational
-only inside R_esc's bit window, and T/|z_n|, log(1 - T/|z_n|) and log|z_n|
-are libmp operations with directed rounding.  So no rational of d^n bits is ever built, and a tol below the
-float resolution of G runs to the step budget in bounded memory.
+interval and budget exits, which compare v(z_n) with integer thresholds
+(the ceiling of theta, the least integer disk radius) and build the interval
+bound's rational only once its filter has passed.  Every orbit step is
+Horner's rule over b in z^e.
+The archimedean place carries z_n as a dyadic interval (lo, hi, x) of
+Python integers, lo 2^x <= z_n <= hi 2^x, at a working width of w bits:
+each Horner product and sum is exact on the integers and then shifted right
+to w significant bits per endpoint (floor for lo, ceiling for hi), and an
+operand more than 2w bits of exponent below the other is first rounded
+outward onto a grid 2w bits below it, so nothing is shifted left by the
+exponent gap.  The loop restarts at twice the width once the relative width
+of |z_n| passes 1e-10.  Its exits read |z_n| as the same integers rounded
+outward to 53 bits, and decide on integers: the escape test against R_esc
+compares bit lengths and multiplies out only inside R_esc's bit window, the
+precision test compares (hi - lo) 10^10 with max(hi, 1), and the filters
+below read bit lengths.  Only an exit whose filter has passed calls libmp,
+for T/|z_n|, log(1 - T/|z_n|) and log|z_n| with directed rounding.  So no
+rational of d^n bits is ever built, and a tol below the float resolution of
+G runs to the step budget in bounded memory.
 
 Filter, then certify.  The interval and escape exits above are certified
-with libmp enclosures (a logarithm and a rational scaling each), yet on most
-orbit steps they cannot fire: the bound is still far above tol.  Before each
-such enclosure both loops compute a cheap float lower bound on the value the
-enclosure would produce -- 2^k log p for the finite interval exit,
-(k log 2 + C/(d-1)) d^-n for the archimedean bounded exit and
+with enclosures (a libmp logarithm and an exact rational scaling each), yet
+on most orbit steps they cannot fire: the bound is still far above tol.
+Before each such enclosure both loops compute a cheap float lower bound on
+the value the enclosure would produce -- 2^k log p for the finite interval
+exit, (k log 2 + C/(d-1)) d^-n for the archimedean bounded exit and
 2^(k+1)/((d-1) d^n) for the archimedean escape width, each k read from bit
-lengths: of a rational at finite places, and as exp + bc - 2 from an mpf's
-exponent and bit count at infinity (nothing is converted to a float, so
-nothing overflows), each float operation pushed one ulp down past its
-rounding, and d^-n a float power that underflows to 0.  When that bound
-exceeds tol the exit cannot fire and the enclosure is skipped.  The filter
-only skips: every value returned or reported (including a BudgetExceeded's
-best bound, which computes the skipped archimedean bounds it needs when it
-is raised) is the certified enclosure, identical to the unfiltered loop's.
+lengths of integers: of num and den = (d-1) d^n with G <= (num/den) log p at
+finite places, and of the dyadic |z_n| (k = x + bitlength(hi) - 2) and of T
+at infinity (nothing is converted to a float, so nothing overflows), each
+float operation pushed one ulp down past its rounding, and d^-n a float
+power that underflows to 0.  When that bound exceeds tol the exit cannot
+fire and the enclosure is skipped.  The filter only skips: every value
+returned or reported (including a BudgetExceeded's best bound, which
+computes the skipped archimedean bounds it needs when it is raised) is the
+certified enclosure, identical to the unfiltered loop's.
 """
 from __future__ import annotations
 
@@ -76,19 +87,12 @@ from typing import Iterable, Optional, Union
 
 from mpmath.libmp import (
     fone,
+    from_man_exp,
     from_rational,
     mpf_div,
-    mpf_gt,
-    mpf_le,
-    mpf_pos,
     mpf_sub,
-    mpi_abs,
-    mpi_add,
-    mpi_mul,
     round_ceiling,
     round_floor,
-    round_nearest,
-    to_rational,
 )
 
 from . import _polys
@@ -96,12 +100,14 @@ from ._intervals import (
     DEFAULT_PREC,
     Interval,
     _down,
-    iv_from_fraction,
+    dy_abs,
+    dy_add,
+    dy_from_fraction,
+    dy_mul,
     iv_prec,
     log_interval,
     log_iv,
     log_prime,
-    to_float53,
 )
 from ._padics import PAdic
 from .arith import (
@@ -232,12 +238,6 @@ class GreenResult:
         return out
 
 
-def _log2_floor(q: Fraction) -> int:
-    """An integer k < log2 q for a rational q > 0, read from bit lengths
-    (no float conversion, so huge and tiny q are fine)."""
-    return q.numerator.bit_length() - 1 - q.denominator.bit_length()
-
-
 def _finite_green(
     fmap: SpecializedMap, p: int, z: Fraction, tol: float, budget: int
 ) -> GreenResult:
@@ -249,20 +249,22 @@ def _finite_green(
         and `repeat` marks a repeat of the exact orbit; None when none fires.
         Past the budget, raises BudgetExceeded with the best upper bound."""
         if n > budget:
+            num, den = data.upper_bound(vw, n)
             raise BudgetExceeded(
                 f"no certificate for G_{p} after {n} steps",
-                best=(0.0, float(data.upper_bound(vw, n)) * log_p.hi),
+                best=(0.0, num / den * log_p.hi),
                 steps=n,
             )
         if data.escapes(vw):
             return GreenResult(data.escape_value(vw, n), "exact-escape", n)
         if repeat or data.in_disk(vw):
             return GreenResult(LocalValue.exact(Fraction(0), p), "exact-bounded", n)
-        coeff = data.upper_bound(vw, n)
-        # filter: the enclosure below is >= coeff log p > 2^k log_p.lo
-        if coeff and _down(math.ldexp(log_p.lo, _log2_floor(coeff))) > tol:
+        num, den = data.upper_bound(vw, n)
+        # filter: the enclosure below is >= (num / den) log p > 2^k log_p.lo
+        k = num.bit_length() - 1 - den.bit_length()
+        if num and _down(math.ldexp(log_p.lo, k)) > tol:
             return None
-        up = log_p.scale(coeff).hi if coeff else 0.0
+        up = log_p.scale(Fraction(num, den)).hi if num else 0.0
         if up <= tol:
             return GreenResult(Interval(0.0, up), "interval", n)
         return None
@@ -301,88 +303,91 @@ def _finite_green(
     )
 
 
-def _mpf_log2_floor(x) -> int:
-    """An integer k < log2 x for a raw mpf x > 0, read from its exponent and
-    bit count (x >= 2^(exp+bc-1)); the k `_log2_floor` reads from the same
-    number as a rational.  A zero gives -2."""
-    return x[2] + x[3] - 2
-
-
-def _mpf_exceeds(x, q: Fraction, q_bits: int) -> bool:
-    """x > q for a raw mpf x >= 0 and a rational q > 0 with
-    q_bits = bit_length(num q) - bit_length(den q), so that
-    2^(q_bits-1) < q < 2^(q_bits+1).  Bit lengths decide unless x's top bit
-    falls in that window; only then is x turned into a (small) rational."""
-    if not x[1]:
+def _exceeds(m: int, x: int, q: Fraction | int) -> bool:
+    """m 2^x > q for an integer m >= 0 and a rational q > 0.  Bit lengths
+    decide unless the top bits of the two are within one of each other; only
+    then is m 2^x den compared with num (q = num/den) exactly, and there
+    x is within one of bitlength(num) - bitlength(den) - bitlength(m), so no
+    shift exceeds the bit sizes of q and m."""
+    if not m:
         return False
-    top = x[2] + x[3]  # 2^(top-1) <= x < 2^top
+    n, d = q.numerator, q.denominator
+    q_bits = n.bit_length() - d.bit_length()  # 2^(q_bits-1) < q < 2^(q_bits+1)
+    top = x + m.bit_length()  # 2^(top-1) <= m 2^x < 2^top
     if top - 1 > q_bits:
         return True
     if top < q_bits:
         return False
-    return Fraction(*to_rational(x)) > q
+    return (m * d << x) > n if x >= 0 else m * d > n << -x
 
 
 def _arch_green(fmap: SpecializedMap, z: Fraction, tol: float, budget: int) -> GreenResult:
     b, e, d = fmap.ze_coeffs, fmap.e, fmap.d
     head, lead_term = fmap.arch_log_terms
-    radius = fmap.escape_radius
-    radius_bits = radius.numerator.bit_length() - radius.denominator.bit_length()
-    tail_hi = from_rational(fmap.tail_sum.numerator, fmap.tail_sum.denominator,
+    radius, tail_sum = fmap.escape_radius, fmap.tail_sum
+    # T > 2^tail_bits when T > 0
+    tail_bits = tail_sum.numerator.bit_length() - 1 - tail_sum.denominator.bit_length()
+    tail_hi = from_rational(tail_sum.numerator, tail_sum.denominator,
                             _EXIT_PREC, round_ceiling)  # T, rounded up
     best_upper = math.inf
-    skipped: list[tuple[float, tuple, int]] = []  # (filter bound, |z_n| hi, n)
+    skipped: list[tuple[float, int, int, int]] = []  # (filter bound, |z_n| <= m 2^x as m, x, n)
 
-    def upper_at(az_hi, n: int) -> float:
-        """The bounded exit's certified upper bound on G from |z_n| <= az_hi."""
-        logplus_hi = 0.0 if mpf_le(az_hi, fone) else log_iv((az_hi, az_hi)).hi
+    def upper_at(m: int, x: int, n: int) -> float:
+        """The bounded exit's certified upper bound on G from |z_n| <= m 2^x."""
+        if _exceeds(m, x, 1):
+            az_hi = from_man_exp(m, x)
+            logplus_hi = log_iv((az_hi, az_hi)).hi
+        else:
+            logplus_hi = 0.0
         return (Interval(0.0, logplus_hi) + head).scale(Fraction(1, d**n)).hi
 
     def best() -> tuple[float, float]:
         """The least bounded-exit upper bound over every step so far; a
         skipped step is computed only when its filter bound could beat it."""
         hi = best_upper
-        for lower, az_hi, n in reversed(skipped):
+        for lower, m, x, n in reversed(skipped):
             if lower < hi:
-                hi = min(hi, upper_at(az_hi, n))
+                hi = min(hi, upper_at(m, x, n))
         return (0.0, hi)
 
     prec = DEFAULT_PREC
     for _ in range(_MAX_RESTARTS):
         with iv_prec(prec) as wp:
-            z_iv = iv_from_fraction(z, wp)
-            b_iv = [iv_from_fraction(c, wp) for c in b]
+            z_dy = dy_from_fraction(z, wp)
+            b_dy = [dy_from_fraction(c, wp) for c in b]
             n = 0
             restart = False
             while n <= budget and not restart:
-                # |z_n| rounded outward to 53 bits
-                a, b = mpi_abs(z_iv, wp)
-                az_lo, az_hi = mpf_pos(a, 53, round_floor), mpf_pos(b, 53, round_ceiling)
+                # |z_n| in [lo 2^x, hi 2^x], rounded outward to 53 bits
+                lo, hi, x = dy_abs(z_dy, 53)
                 # a float <= d^-n; once it underflows to 0 no filter skips
                 decay = max(0.0, _down(_down(float(d) ** -n)))
                 # bounded exit; filter: log+ |z_n| >= k log 2 (k capped: a smaller k
                 # is still a lower bound, and k log 2 stays a finite float)
-                k = min(max(0, _mpf_log2_floor(az_hi)), _K_CAP)
+                k = min(max(0, x + hi.bit_length() - 2), _K_CAP) if hi else 0
                 lower = _down(_down(_down(k * _LN2_LO) + head.lo) * decay)
                 if lower > tol:
-                    skipped.append((lower, az_hi, n))
+                    skipped.append((lower, hi, x, n))
                 else:
-                    upper = upper_at(az_hi, n)
+                    upper = upper_at(hi, x, n)
                     best_upper = min(best_upper, upper)
                     if upper <= tol:
                         return GreenResult(Interval(0.0, upper), "interval", n)
                 # escape refinement
-                if _mpf_exceeds(az_lo, radius, radius_bits):
-                    # >= T/|z_n|, rounded up; <= 1/2 in the escape region
-                    ratio = mpf_div(tail_hi, az_lo, _EXIT_PREC, round_ceiling)
-                    # filter: width >= 2 eps / ((d-1) d^n), eps >= ratio > 2^j;
-                    # T = 0 makes the enclosure exact at once, so it never skips
+                if _exceeds(lo, x, radius):
+                    # filter: width >= 2 eps / ((d-1) d^n) with eps >= T/(lo 2^x) > 2^j,
+                    # j = tail_bits - x - bitlength(lo); T = 0 makes the enclosure
+                    # exact at once, so it never skips
                     width_lo = (
-                        _down(_down(math.ldexp(2.0, _mpf_log2_floor(ratio)) / (d - 1)) * decay)
-                        if ratio[1]
+                        _down(_down(math.ldexp(2.0, tail_bits - x - lo.bit_length()) / (d - 1))
+                              * decay)
+                        if tail_sum
                         else 0.0
                     )
                     if width_lo <= tol:
+                        az_lo, az_hi = from_man_exp(lo, x), from_man_exp(hi, x)
+                        # >= T/|z_n|, rounded up; <= 1/2 in the escape region
+                        ratio = mpf_div(tail_hi, az_lo, _EXIT_PREC, round_ceiling)
                         one_minus = mpf_sub(fone, ratio, _EXIT_PREC, round_floor)
                         eps_hi = -log_iv((one_minus, one_minus)).lo
                         tail = Interval(-eps_hi, eps_hi).scale(Fraction(1, d - 1))
@@ -390,22 +395,19 @@ def _arch_green(fmap: SpecializedMap, z: Fraction, tol: float, budget: int) -> G
                         enc = enc.scale(Fraction(1, d**n))
                         if enc.width <= tol:
                             return GreenResult(enc.clamp_nonneg(), "interval", n)
-                # precision health: float((|z_n| hi - lo) / max(hi, 1)) > 1e-10;
-                # the difference is exact whenever the quotient is near 1e-10
-                if az_hi[1]:
-                    width = mpf_sub(az_hi, az_lo, _EXIT_PREC, round_ceiling)
-                    scale = az_hi if mpf_gt(az_hi, fone) else fone
-                    if to_float53(mpf_div(width, scale, 53, round_nearest)) > 1e-10:
-                        restart = True
-                        continue
-                # Horner's rule in z^e; adding b_j = 0 changes nothing, as the
-                # endpoints it is added to already have wp bits
-                acc = b_iv[-1]
-                for c in reversed(b_iv[:-1]):
+                # precision health: the relative width (hi - lo) / max(hi, 1) of
+                # |z_n| passes 1e-10
+                wide = (hi - lo) * 10**10
+                if wide > hi if _exceeds(hi, x, 1) else _exceeds(wide, x, 1):
+                    restart = True
+                    continue
+                # Horner's rule in z^e
+                acc = b_dy[-1]
+                for c in reversed(b_dy[:-1]):
                     for _ in range(e):
-                        acc = mpi_mul(acc, z_iv, wp)
-                    acc = mpi_add(acc, c, wp)
-                z_iv = acc
+                        acc = dy_mul(acc, z_dy, wp)
+                    acc = dy_add(acc, c, wp)
+                z_dy = acc
                 n += 1
             if not restart:
                 raise BudgetExceeded(

@@ -550,7 +550,7 @@ def _candidate_points(
     for pl in sorted(exceptional_places(fam), key=lambda pl: pl.sort_key()):
         if pl.is_archimedean or pl.prime in forced:
             continue
-        cap = -math.ceil(fmap.green_data(pl.prime).theta)
+        cap = -fmap.green_data(pl.prime).theta_ceil
         if cap > 0:
             extra.append((pl.prime, cap))
     dens = {base}

@@ -13,7 +13,7 @@ from heightforge.errors import BudgetExceeded, DomainError, PrecisionLoss
 from heightforge.family import analyze_cover, build_family, specialize
 from heightforge import _polys as P
 from heightforge import heights as H
-from heightforge._intervals import Interval, log_interval
+from heightforge._intervals import Interval, iv_prec, log_interval
 from heightforge._padics import PAdic
 from heightforge.heights import (
     GreenResult,
@@ -327,6 +327,24 @@ def test_green_restart_exhaustion_reports_finite_best(monkeypatch):
         local_green(Z2T, Fraction(-1), INF, Fraction(1, 3), tol=1e-9)
     lo, hi = ei.value.best
     assert lo == 0.0 and math.isfinite(hi) and hi >= math.log(2)
+
+
+def test_green_restart_iterates_the_same_map(monkeypatch):
+    # 1/3 stays in [-2, 2] under z^2 - 2, so G = 0, and at tol 1e-30 the bounded
+    # exit needs about 100 steps: the orbit's relative width passes 1e-10 first,
+    # and the restarted attempt must iterate z^2 - 2 again to certify it
+    precs = []
+    monkeypatch.setattr(H, "iv_prec", lambda prec: precs.append(prec) or iv_prec(prec))
+    r = local_green(Z2T, Fraction(-2), INF, Fraction(1, 3), tol=1e-30, budget=400)
+    assert precs == [120, 240]
+    assert r.to_json() == {"value_lo": 0.0, "value_hi": 6.445591303100612e-31,
+                           "mode": "interval", "place": None, "steps": 101}
+    # 0 escapes under z^3 + 11/20 at step 10, G = 0.0043620951787677 (400-bit
+    # reference); tol 1e-26 is below its float resolution, so the loop restarts
+    # and must refuse, not certify G <= tol from a restarted orbit
+    with pytest.raises(BudgetExceeded) as ei:
+        local_green(Z3T, Fraction(11, 20), INF, Fraction(0), tol=1e-26, budget=300)
+    assert ei.value.best == (0.0, 0.004362095178767704)
 
 
 # t = (4k+1)/(4u^2) and z = (2j+1)/(2w) under z^2 + t: v_2(z_n) = -1 at

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from heightforge import arith, family
 from heightforge.arith import INF, Place, padic_valuation, support, vp_or_none
 from heightforge.constants import _mk_c, exceptional_places, pigeonhole_delta, theorem1_constants
-from heightforge._intervals import Interval, log_prime
+from heightforge._intervals import Interval, log_prime_iv
 from heightforge.errors import BudgetExceeded, DomainError
 from heightforge.family import Family, analyze_cover, build_family, specialized
 from heightforge.heights import (
@@ -407,10 +407,10 @@ def test_results_do_not_depend_on_the_log_prime_cache():
         lambda: certify_point(Z2T, Fraction(1, 4), Fraction(1, 6)).to_json(),
     )
     for call in calls:
-        log_prime.cache_clear()
+        log_prime_iv.cache_clear()
         cold = call()
-        hits = log_prime.cache_info().hits
-        assert call() == cold and log_prime.cache_info().hits > hits
+        hits = log_prime_iv.cache_info().hits
+        assert call() == cold and log_prime_iv.cache_info().hits > hits
 
 
 def test_certify_point_retries(monkeypatch):
