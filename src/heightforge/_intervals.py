@@ -21,6 +21,7 @@ real inside [lo, hi].
   endpoint by floor and the upper by ceiling, so nothing reads or writes a
   process-global precision.  The final conversion to float endpoints rounds
   each endpoint to 53 bits (to nearest) and then pushes it one ulp outward.
+  The same outward pair of e^k gives floor(e^k) exactly (`exp_floor`).
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from functools import lru_cache
 from mpmath.libmp import (
     from_int,
     from_man_exp,
+    mpf_exp,
     mpf_log,
     mpf_pos,
     mpi_div,
@@ -41,6 +43,7 @@ from mpmath.libmp import (
     round_floor,
     round_nearest,
     to_float,
+    to_int,
 )
 
 # Working precision for interval evaluations.  53-bit floats are the output
@@ -258,3 +261,16 @@ def log_prime(p: int) -> Interval:
     """log_interval(p) for a prime p, read from the DEFAULT_PREC entry of
     log_prime_iv, and shared by every exact multiple of log p."""
     return from_iv(log_prime_iv(p, DEFAULT_PREC))
+
+
+def exp_floor(k: int) -> int:
+    """floor(e^k) for an integer k >= 1, exactly: the floors of both ends of
+    an outward libmp enclosure of e^k, at a precision doubled until they
+    agree (e^k is irrational, so they do)."""
+    prec = 64
+    while True:
+        lo, hi = (to_int(mpf_exp(from_int(k), prec, rnd), round_floor)
+                  for rnd in (round_floor, round_ceiling))
+        if lo == hi:
+            return lo
+        prec *= 2

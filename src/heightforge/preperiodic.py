@@ -28,6 +28,14 @@ Fast filters used by the scanner:
   when d is odd and into (x, y) when m is odd, and cannot occur when both
   are even); testing |x^m + y^m| for an exact d-th power is a pure integer
   computation.
+* twins: when e is even, f_t(-z) = f_t(z), and every escape test at z_0
+  reads only |z|, v_p(z) and den z, so the record of -z is read from that of
+  z with no evaluation and no place test; the candidates come in adjacent
+  pairs z, -z, so the two share one orbit.
+* height buckets: floor(h(z)) is the number of integers ceil(e^k), k >= 1,
+  at most max(|num z|, den z), since e^k is never an integer; a table of them,
+  built once from outward-rounded enclosures of e^k, gives each bucket by
+  exact integer comparisons, with no logarithm.
 """
 from __future__ import annotations
 
@@ -35,6 +43,7 @@ import csv
 import math
 import os
 import time
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,6 +52,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from sympy import integer_nthroot
 
+from ._intervals import exp_floor
 from .arith import (
     _MAX_INTEGER_DIGITS,
     INF,
@@ -83,6 +93,13 @@ _ORBIT_BIT_CAP = 200_000
 # parameter and candidate boxes beyond this many rationals are refused before
 # they are enumerated
 _MAX_BOX_PARAMETERS = 10**6
+
+# ceil(e^k) for k = 1, 2, ... until e^k > 2^k passes the largest candidate
+# size max(|num z|, den z) that _candidate_points enumerates.  e^k is never an
+# integer, so for an integer n >= 1, floor(log n) is the number of entries <= n
+_EXP_CEILS = tuple(
+    exp_floor(k) + 1 for k in range(1, (_MAX_BOX_PARAMETERS // 2).bit_length() + 1)
+)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +210,28 @@ def iterate_orbit(fam: Family, t: Fraction, z: Fraction, max_steps: int) -> Orbi
         bits = w.numerator.bit_length() + w.denominator.bit_length()
         if n == max_steps or bits > _ORBIT_BIT_CAP:
             return OrbitRecord(tuple(points), OrbitTruncated(n))
+
+
+def _twin_record(record: OrbitRecord, max_steps: int) -> OrbitRecord:
+    """iterate_orbit(fam, t, -z, max_steps) read from `record`, the one of z
+    != 0 under the same arguments, for a family with even e.
+
+    f_t(-z) = f_t(z), and every test at z_0 reads only |z|, v_p(z) and den z,
+    so the orbit of -z is -z, z_1, z_2, ... under the same tests.  Its event
+    moves only if -z = z_j for some j >= 1 (a cycle through -z at step j), or
+    if z is periodic of period n: then z_n = z is new after -z, and the repeat
+    comes one step later at z_1, unless the budget ends at step n.
+    """
+    points, event = record.points, record.event
+    twin = (-points[0], *points[1:])
+    if twin[0] in points:
+        j = points.index(twin[0])
+        return OrbitRecord(twin[: j + 1], CycleFound(0, j))
+    if isinstance(event, CycleFound) and event.preperiod == 0:
+        if event.period == max_steps:
+            return OrbitRecord(twin, OrbitTruncated(max_steps))
+        return OrbitRecord((*twin, points[1]), CycleFound(1, event.period))
+    return OrbitRecord(twin, event)
 
 
 # ---------------------------------------------------------------------------
@@ -619,14 +658,16 @@ def _scan_one(
         for rec in obstructions
         if rec.forced_valuation is not None
     }
-    buckets: dict[int, int] = {}  # max(|num z|, den z) -> floor(h(z))
+    twins = fam.e % 2 == 0  # f_t(-z) = f_t(z)
+    heights = res["heights"]
     for z in _candidate_points(fam, param, z_bound, forced):
-        record = iterate_orbit(fam, param, z, budget)
-        size = max(abs(z.numerator), z.denominator)
-        bucket = buckets.get(size)
-        if bucket is None:
-            bucket = buckets[size] = math.floor(_naive_height_interval(z).mid)
-        res["heights"][bucket] = res["heights"].get(bucket, 0) + 1
+        # _candidate_points yields each -z right after z
+        if twins and z.numerator < 0:
+            record = _twin_record(record, budget)
+        else:
+            record = iterate_orbit(fam, param, z, budget)
+        bucket = bisect_right(_EXP_CEILS, max(abs(z.numerator), z.denominator))
+        heights[bucket] = heights.get(bucket, 0) + 1
         if isinstance(record.event, CycleFound):
             res["findings"].append(
                 Finding(t, z, record.event.preperiod, record.event.period)
@@ -665,11 +706,13 @@ def scan(
         raise DomainError("scan bounds must be positive")
     if jobs < 1:
         raise DomainError("jobs must be >= 1")
+    if budget < 1:
+        raise DomainError("budget must be >= 1")
     if not fam.monic:
         raise DomainError("scan requires a monic family")
     start = time.monotonic()
     ts = (
-        sorted(Fraction(t) for t in t_values)
+        sorted({Fraction(t) for t in t_values})
         if t_values is not None
         else _rationals_in_box(t_height_bound)
     )

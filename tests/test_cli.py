@@ -310,6 +310,14 @@ def test_scan_explicit_t_and_csv(capsys, tmp_path):
     assert len(lines) == 1 + len(out["preperiodicFindings"])
 
 
+def test_scan_repeated_t_examined_once(capsys):
+    argv = ("scan", "--family", FAM2, "--t-bound", "1.0", "--z-bound", str(math.log(10)))
+    _, once = run_cli(capsys, *argv, "--t", "-2")
+    code, twice = run_cli(capsys, *argv, "--t", "-2", "--t", "-2")
+    assert code == 0 and twice["tExamined"] == 1 and twice["candidatesChecked"] == 21
+    assert _strip_elapsed(twice) == _strip_elapsed(once)
+
+
 def test_scan_findings_replay_to_same_verdict(capsys):
     """Round-trip: re-parse the report and replay each finding."""
     code, out = run_cli(
@@ -394,6 +402,14 @@ def test_subprocess_exit_codes():
                        address_space=800 * 2**20)
     assert proc.returncode == 3, proc.stderr
     assert json.loads(proc.stdout)["error"]["kind"] == "budget"
+
+
+def test_scan_budget_below_one_exit_2():
+    # 1/3 is obstructed, so no orbit would have read the budget
+    proc = _run_script("scan", "--family", FAM2, "--t-bound", "0.8", "--z-bound", "0.8",
+                       "--t", "1/3", "--budget", "0")
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["kind"] == "domain"
 
 
 def test_unprovable_factoring_exit_3(capsys, monkeypatch):

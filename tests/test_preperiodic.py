@@ -5,6 +5,7 @@ import math
 import pathlib
 import random
 import sys
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,31 @@ def test_orbit_json_shape():
     assert js["points"] == ["1", "0", "-1", "0"]
     assert js["event"] == {"kind": "cycle-found", "preperiod": 1, "period": 2}
     assert len(js["naiveHeights"]) == 4
+
+
+def test_twin_record_is_the_orbit_of_minus_z():
+    # for even e, -z's record is read from z's: the same tests fire on
+    # -z, z_1, z_2, ..., and only a cycle through -z or a periodic z moves
+    # the event
+    z4t = build_family([1, 1], 4)  # z^4 + t, e = 4
+    box = [Fraction(x, y) for y in (1, 2, 3, 4) for x in range(1, 7) if math.gcd(x, y) == 1]
+    kinds = set()
+    for fam, t in itertools.product((Z2T, Z4T2, z4t), (Fraction(-2), Fraction(-1), Fraction(0),
+                                                       Fraction(-3, 4), Fraction(1, 16))):
+        for z, budget in itertools.product(box, (1, 2, 3, 512)):
+            twin = preperiodic._twin_record(iterate_orbit(fam, t, z, budget), budget)
+            assert twin == iterate_orbit(fam, t, -z, budget), (fam.describe(), t, z, budget)
+            kinds.add(type(twin.event).__name__)
+    # the grid reaches every kind of event; the cases below pin the moved ones
+    assert kinds == {"CycleFound", "EscapeCertified", "OrbitTruncated"}
+    twin = preperiodic._twin_record(iterate_orbit(Z2T, Fraction(-2), Fraction(2), 512), 512)
+    assert twin.points == (-2, 2, 2) and twin.event == CycleFound(1, 1)  # periodic z
+    twin = preperiodic._twin_record(iterate_orbit(Z2T, Fraction(-2), Fraction(2), 1), 1)
+    assert twin.points == (-2, 2) and twin.event == OrbitTruncated(1)
+    twin = preperiodic._twin_record(iterate_orbit(Z2T, Fraction(-1), Fraction(1), 512), 512)
+    assert twin.points == (-1, 0, -1) and twin.event == CycleFound(0, 2)  # -z = z_2
+    twin = preperiodic._twin_record(iterate_orbit(Z2T, Fraction(-1), Fraction(1, 2), 512), 512)
+    assert twin.points == (Fraction(-1, 2),) and twin.event.step == 0  # escape at z_0
 
 
 def _reference_escaped(data, vw):
@@ -587,6 +613,22 @@ def test_scan_half_integer_inventories():
     }
 
 
+def test_height_buckets_from_the_exp_table():
+    # floor(log n) is the number of table entries ceil(e^k) <= n; checked
+    # against the log enclosure on both sides of every entry and for n <= 5000
+    table = preperiodic._EXP_CEILS
+    assert list(table) == sorted(table) and table[-1] > preperiodic._MAX_BOX_PARAMETERS // 2
+    for n in {*range(1, 5001), *(c - 1 for c in table), *table}:
+        assert bisect_right(table, n) == math.floor(_naive_height_interval(Fraction(n)).mid), n
+
+
+def test_scan_examines_each_parameter_once():
+    once = scan(Z2T, 1.0, math.log(10), t_values=[Fraction(-2)])
+    twice = scan(Z2T, 1.0, math.log(10), t_values=[Fraction(-2), -2])
+    assert (twice.t_examined, twice.candidates_checked) == (1, 21)
+    assert twice.findings == once.findings and len(twice.findings) == 5
+
+
 def test_scan_obstruction_shortcuts_iteration():
     rep = scan(Z2T, 1.2, math.log(10), t_values=[Fraction(1, 3)])
     assert not rep.findings
@@ -729,6 +771,10 @@ def test_scan_rejects_bad_input():
     for jobs in (0, -1):
         with pytest.raises(DomainError):
             scan(Z2T, 0.8, 0.8, t_values=[Fraction(1)], jobs=jobs)
+    # refused before any parameter is looked at, obstructed (1/3) or not
+    for t in (Fraction(1, 3), Fraction(-2)):
+        with pytest.raises(DomainError):
+            scan(Z2T, 0.8, 0.8, t_values=[t], budget=0)
 
 
 def test_scan_caps_its_workers(monkeypatch):
