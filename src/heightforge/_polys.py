@@ -1,8 +1,8 @@
 """Dense univariate polynomials over Q.
 
 Coefficient lists are constant-term first throughout the package (matching
-the cover-spec JSON convention).  Everything here is exact Fraction
-arithmetic: ring operations, denominator clearing, and resultants as
+the cover-spec JSON convention).  Everything here is exact arithmetic:
+Fraction ring operations, denominator clearing on integers, and resultants as
 Sylvester determinants, which the package only takes of small polynomials (a
 cover's numerator and denominator).  sympy factors over Q and takes
 discriminants (of the radical of F(X, 1)).
@@ -58,12 +58,12 @@ def scale(f: Coeffs, r: Fraction) -> Coeffs:
     return poly([c * r for c in f])
 
 
-def clear_denominators(f: Coeffs) -> tuple[Coeffs, int]:
-    """Return (m*f, m) with m the least positive integer making m*f integral."""
-    m = 1
-    for c in f:
-        m = m * c.denominator // math.gcd(m, c.denominator)
-    return scale(f, m), m
+def clear_denominators(f: Coeffs) -> tuple[tuple[int, ...], int]:
+    """Return (m*f, m) with m the least positive integer making m*f integral,
+    the coefficients of m*f as ints: num c * (m // den c), with no rational
+    arithmetic."""
+    m = math.lcm(*(c.denominator for c in f))
+    return tuple(c.numerator * (m // c.denominator) for c in f), m
 
 
 def _sympy_poly(f: Coeffs) -> sympy.Poly:

@@ -268,23 +268,29 @@ def padic_valuation(q: Fraction, p: int) -> int:
     q = Fraction(q)
     if q == 0:
         raise DomainError("v_p(0) is not a finite integer")
-    v = 0
-    n = q.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    if v:
-        return v
-    d = q.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return vp_pair(q.numerator, q.denominator, p)
 
 
 def vp_or_none(q: Fraction, p: int) -> Optional[int]:
     """padic_valuation with v_p(0) reported as None (infinite)."""
     return None if q == 0 else padic_valuation(q, p)
+
+
+def vp_pair(num: int, den: int, p: int) -> Optional[int]:
+    """vp_or_none(num / den, p) for num / den in lowest terms with den > 0,
+    read by dividing den, or num when p does not divide den."""
+    v = 0
+    if den % p == 0:
+        while den % p == 0:
+            den //= p
+            v -= 1
+        return v
+    if not num:
+        return None
+    while num % p == 0:
+        num //= p
+        v += 1
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -411,7 +411,7 @@ def model_resultant(fam: Family, t: Fraction) -> Fraction:
     the leading coefficient M a_D of the first, to the d-th power, times
     M^d from the second.
     """
-    m_clear = specialized(fam, t).integral_model[1]
+    m_clear = specialized(fam, Fraction(t)).integral_model[1]
     return Fraction(m_clear) ** (2 * fam.d) * fam.lead**fam.d
 
 

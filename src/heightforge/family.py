@@ -248,9 +248,10 @@ class _FiniteGreenData:
 class SpecializedMap:
     """f_t(z) = F(z^e, t) = sum_j b_j z^(e j) for one family and parameter:
     the D + 1 form coefficients `ze_coeffs` = (b_0, ..., b_D), b_j = a_j t^(D-j),
-    constant first (unlike `Family.form`), evaluation by calling the map, and
-    each fact the local and global algorithms read about f_t, computed once
-    on first use.  Build maps through the memoized `specialized`."""
+    constant first (unlike `Family.form`), the exact orbit on integer pairs
+    (`step`, `orbit`, and calling the map), and each fact the local and global
+    algorithms read about f_t, computed once on first use.  Build maps through
+    the memoized `specialized`."""
 
     def __init__(self, fam: Family, t: Fraction):
         self.e, self.d = fam.e, fam.d
@@ -258,24 +259,41 @@ class SpecializedMap:
         self.ze_coeffs = tuple(fam.coefficient(j) * t ** (D - j) for j in range(D + 1))
         self._green_data: dict[int, _FiniteGreenData] = {}
 
-    def __call__(self, z: Fraction) -> Fraction:
-        return _polys.evaluate(self.ze_coeffs, z**self.e)
+    def step(self, x: int, y: int) -> tuple[int, int]:
+        """f_t(x/y) as (num, den) in lowest terms with den > 0, for x/y in
+        lowest terms with y > 0: with the integral model (C, M) and X = x^e,
+        Y = y^e, f_t(x/y) = N / (M Y^D) where N = sum_j C_j X^j Y^(D-j) by
+        homogeneous Horner, reduced by one gcd."""
+        C, M = self.integral_model
+        X, Y = x**self.e, y**self.e
+        acc, y_pow = C[-1], 1
+        for c in C[-2::-1]:
+            y_pow *= Y
+            acc = acc * X + c * y_pow
+        den = M * y_pow
+        g = math.gcd(acc, den)
+        return acc // g, den // g
 
-    def orbit(self, z: Fraction) -> Iterator[tuple[Fraction, int]]:
-        """The exact orbit z_0 = z, z_1 = f_t(z_0), ... as pairs (z_n, j),
-        j the index of z_n's first occurrence, so the orbit first repeats at
-        the n with j < n.  Lazy: each point after z_0 costs one evaluation
-        when it is requested.  The orbit never ends; the caller stops."""
-        seen: dict[Fraction, int] = {}
-        w, n = Fraction(z), 0
+    def __call__(self, z: Fraction) -> Fraction:
+        return Fraction(*self.step(z.numerator, z.denominator))
+
+    def orbit(self, z: Fraction) -> Iterator[tuple[int, int, int]]:
+        """The exact orbit z_0 = z, z_1 = f_t(z_0), ... as triples
+        (num z_n, den z_n, j) in lowest terms with den z_n > 0, j the index of
+        z_n's first occurrence, so the orbit first repeats at the n with j < n.
+        Lazy: each point after z_0 costs one `step` when it is requested.  The
+        orbit never ends; the caller stops."""
+        seen: dict[tuple[int, int], int] = {}
+        step = self.step
+        num, den, n = z.numerator, z.denominator, 0
         while True:
-            yield w, seen.setdefault(w, n)
-            w = self(w)
+            yield num, den, seen.setdefault((num, den), n)
+            num, den = step(num, den)
             n += 1
 
     @cached_property
-    def integral_model(self) -> tuple[Coeffs, int]:
-        """(M b, M) with M the lcm of the coefficient denominators."""
+    def integral_model(self) -> tuple[tuple[int, ...], int]:
+        """(M b, M) as integers, M the lcm of the coefficient denominators."""
         return _polys.clear_denominators(self.ze_coeffs)
 
     @cached_property
@@ -344,16 +362,22 @@ class SpecializedMap:
 
 
 @lru_cache(maxsize=256)
+def _specialized(fam: Family, num: int, den: int) -> SpecializedMap:
+    return SpecializedMap(fam, Fraction(num, den))
+
+
 def specialized(fam: Family, t: Fraction) -> SpecializedMap:
-    """The memoized SpecializedMap of fam at t."""
-    return SpecializedMap(fam, Fraction(t))
+    """The memoized SpecializedMap of fam at a rational t (a Fraction or an
+    int), cached under (num t, den t): a Fraction's hash takes a modular
+    inverse of its denominator, and every orbit looks its map up."""
+    return _specialized(fam, t.numerator, t.denominator)
 
 
 def specialize(fam: Family, t: Fraction) -> Coeffs:
     """f_t as a dense constant-first coefficient list of length d + 1: the
     map's b_j at z^(e j), zero elsewhere."""
     out = [Fraction(0)] * (fam.d + 1)
-    out[:: fam.e] = specialized(fam, t).ze_coeffs
+    out[:: fam.e] = specialized(fam, Fraction(t)).ze_coeffs
     return tuple(out)
 
 

@@ -36,13 +36,16 @@ Every algorithm below is generic in the coefficients (monic is not assumed):
   C = log max(1, sum|b_j|), giving the same geometric interval exit.
 
 At finite places the orbit is read from `SpecializedMap.orbit`, the one
-exact orbit of the package (with its repeat detection), while the rationals
-stay small, then carried on in windowed p-adic arithmetic with
-restart-on-precision-loss; both phases share one copy of the escape, disk,
-interval and budget exits, which compare v(z_n) with integer thresholds
-(the ceiling of theta, the least integer disk radius) and build the interval
-bound's rational only once its filter has passed.  Every orbit step is
-Horner's rule over b in z^e.
+exact orbit of the package (with its repeat detection), as integer pairs
+(num z_n, den z_n) while they stay small: v_p(z_n) is read by dividing den
+(or num when p does not divide den) and the size from their bit lengths, and
+one Fraction is built when the orbit is carried on in windowed p-adic
+arithmetic with restart-on-precision-loss; both phases share one copy of the
+escape, disk, interval and budget exits, which compare v(z_n) with integer
+thresholds (the ceiling of theta, the least integer disk radius) and build
+the interval bound's rational only once its filter has passed.  An exact
+step is one homogeneous Horner evaluation of the integral model on the pair
+(`SpecializedMap.step`), a p-adic step Horner's rule over b in z^e.
 The archimedean place carries z_n as a dyadic interval (lo, hi, x) of
 Python integers, lo 2^x <= z_n <= hi 2^x, at a working width of w bits:
 each Horner product and sum is exact on the integers and then shifted right
@@ -122,6 +125,7 @@ from .arith import (
     naive_height,
     padic_valuation,
     vp_or_none,
+    vp_pair,
 )
 from .errors import BudgetExceeded, DomainError, PrecisionLoss
 from .family import CoverAnalysis, Family, SpecializedMap, specialized
@@ -186,14 +190,15 @@ def height_defect_bound(fam: Family, t: Fraction) -> float:
     d, D = fam.d, fam.deg_form
     if L == 1 and abs(C[-1]) == 1 and all(c == 0 for c in C[:-1]):
         return 0.0  # pure +-z^d: h(f(w)) = d h(w) exactly
-    upper_arg = max(sum(abs(c) for c in C), Fraction(L))
+    upper_arg = Fraction(max(sum(abs(c) for c in C), L))
     R = (L * abs(C[-1])) ** d
     rev = C[::-1]  # C* in v
-    A = [R / rev[0]]
+    # exact: A_0 is a Fraction, so every later division is rational too
+    A = [Fraction(R, rev[0])]
     for k in range(1, D):
         A.append(-sum(rev[i] * A[k - i] for i in range(1, k + 1)) / rev[0])
     B = [-sum(A[i] * rev[D + k - i] for i in range(k, D)) / L for k in range(D)]
-    lower_arg = 2 * d * R * max(R / L, max(abs(c) for c in A + B))
+    lower_arg = 2 * d * R * max(Fraction(R, L), max(abs(c) for c in A + B))
     return log_interval(max(upper_arg, lower_arg, Fraction(1))).hi
 
 
@@ -270,14 +275,15 @@ def _finite_green(
         return None
 
     # phase 1: the exact orbit, until a point outgrows _EXACT_BITS
-    for n, (w, first) in enumerate(fmap.orbit(z)):
-        res = exit_at(vp_or_none(w, p), n, repeat=first < n)
+    for n, (num, den, first) in enumerate(fmap.orbit(z)):
+        res = exit_at(vp_pair(num, den, p), n, repeat=first < n)
         if res is not None:
             return res
-        if w.numerator.bit_length() + w.denominator.bit_length() > _EXACT_BITS:
+        if num.bit_length() + den.bit_length() > _EXACT_BITS:
             break
 
     # phase 2: windowed p-adic orbit from z_n, restarting with more digits on loss
+    w = Fraction(num, den)
     rel = _REL_PREC0
     for _ in range(_MAX_RESTARTS):
         try:
@@ -509,9 +515,10 @@ def _canonical_global(fam: Family, t: Fraction, z: Fraction, tol: float) -> Inte
     )
     if base_bits * d**n_steps > 4_000_000:
         raise DomainError(too_tight)
-    w, _ = next(itertools.islice(fmap.orbit(z), n_steps, None))
+    num, den, _ = next(itertools.islice(fmap.orbit(z), n_steps, None))
     tail = cf / ((d - 1) * d ** (n_steps - 1))
-    h_n = _naive_height_interval(w).scale(Fraction(1, d**n_steps))
+    # h(num / den) = log max(|num|, den) = h(max(|num|, den)) in lowest terms
+    h_n = _naive_height_interval(Fraction(max(abs(num), den))).scale(Fraction(1, d**n_steps))
     return (h_n + Interval(-tail, tail)).clamp_nonneg()
 
 

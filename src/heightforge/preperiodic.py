@@ -8,11 +8,14 @@ enclosure bounded away from zero.
 
 An orbit stops at its first repeat or at its first point in the escape
 region of some place, so a wandering point's certificate ends at the first
-point that escapes.  The escape test reads no logs: every prime dividing
-den(z_n) divides den(z_0) or M, and at any other prime no escape can fire,
-so one prime set, found before the first point, serves every test of the
-orbit.  An orbit's naive heights are computed from its points when first
-read.
+point that escapes.  The orbit runs on integer pairs (num, den) in lowest
+terms (`SpecializedMap.orbit`), and each point's escape test is integer
+arithmetic on the pair: v_p by division, |z| > R_esc by cross
+multiplication, and no logs.  Every prime dividing den(z_n) divides den(z_0)
+or M, and at any other prime no escape can fire, so one prime set, found
+before the first point, serves every test of the orbit.  Fractions are built
+only for the record an orbit returns, and its naive heights are computed
+from its points when first read.
 
 Fast filters used by the scanner:
 
@@ -61,6 +64,7 @@ from .arith import (
     factor_integer,
     format_rational,
     vp_or_none,
+    vp_pair,
 )
 from .constants import exceptional_places
 from .errors import BudgetExceeded, DomainError
@@ -167,19 +171,23 @@ class OrbitRecord:
         }
 
 
-def _escape_place(fmap: SpecializedMap, z: Fraction, primes: Sequence[int]) -> Optional[Place]:
-    """A place at which z lies in the certified escape region, if any.
+def _escape_place(
+    fmap: SpecializedMap, num: int, den: int, primes: Sequence[int]
+) -> Optional[Place]:
+    """A place at which z = num / den (in lowest terms, den > 0) lies in the
+    certified escape region, if any.
 
     Finite places: v_p(z) below the escape threshold theta_p, at each of
-    the sorted `primes`, which must include every prime dividing den(z) or
-    M (at any other prime v(z) >= 0 and theta_p <= 0, so nothing escapes
-    there).  Archimedean: |z| beyond the map's escape radius.  Both tests
-    are exact rational comparisons.
+    the sorted `primes`, which must include every prime dividing den or M
+    (at any other prime v(z) >= 0 and theta_p <= 0, so nothing escapes
+    there).  Archimedean: |z| beyond the map's escape radius R_esc, tested
+    as |num| R_den > R_num den.  Both tests are exact integer comparisons.
     """
     for p in primes:
-        if fmap.green_data(p).escapes(vp_or_none(z, p)):
+        if fmap.green_data(p).escapes(vp_pair(num, den, p)):
             return Place.finite(p)
-    if abs(z) > fmap.escape_radius:
+    radius = fmap.escape_radius
+    if abs(num) * radius.denominator > radius.numerator * den:
         return INF
     return None
 
@@ -193,23 +201,30 @@ def iterate_orbit(fam: Family, t: Fraction, z: Fraction, max_steps: int) -> Orbi
     with EscapeCertified, so a wandering orbit ends at its first escaping
     point, and the step budget or the bit-size cap with OrbitTruncated, an
     event, not an error.  The escape tests share the map's bad primes for z,
-    those of M and of den z, found once before the first point.
+    those of M and of den z, found once before the first point.  The orbit
+    runs on integer pairs (num, den); the record's first point is z, and the
+    Fractions of the others are built once it ends.
     """
     if max_steps < 1:
         raise DomainError("max_steps must be >= 1")
+    if not isinstance(z, Fraction):
+        z = Fraction(z)
     fmap = specialized(fam, t)
     primes = fmap.bad_primes(z)
-    points: list[Fraction] = []
-    for n, (w, first) in enumerate(fmap.orbit(z)):
-        points.append(w)
+    pairs: list[tuple[int, int]] = []
+    for n, (num, den, first) in enumerate(fmap.orbit(z)):
+        pairs.append((num, den))
         if first < n:
-            return OrbitRecord(tuple(points), CycleFound(first, n - first))
-        pl = _escape_place(fmap, w, primes)
+            event: OrbitEvent = CycleFound(first, n - first)
+            break
+        pl = _escape_place(fmap, num, den, primes)
         if pl is not None:
-            return OrbitRecord(tuple(points), EscapeCertified(pl, n))
-        bits = w.numerator.bit_length() + w.denominator.bit_length()
-        if n == max_steps or bits > _ORBIT_BIT_CAP:
-            return OrbitRecord(tuple(points), OrbitTruncated(n))
+            event = EscapeCertified(pl, n)
+            break
+        if n == max_steps or num.bit_length() + den.bit_length() > _ORBIT_BIT_CAP:
+            event = OrbitTruncated(n)
+            break
+    return OrbitRecord((z, *(Fraction(num, den) for num, den in pairs[1:])), event)
 
 
 def _twin_record(record: OrbitRecord, max_steps: int) -> OrbitRecord:

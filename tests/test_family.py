@@ -1,10 +1,12 @@
 """Family construction, specialization, monic normalization, and parameter
 covers."""
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from heightforge import _polys as P
 from heightforge import family
@@ -134,21 +136,79 @@ def test_specialized_map(monkeypatch):
     assert fmap.bad_primes(Fraction(5, 4)) == (2,) and factored == []
     assert fmap.bad_primes(Fraction(1, 60)) == (2, 3, 5) and factored == [15]
 
-    # the exact orbit with first-occurrence indices: z^2 - 1 from 0 repeats at z_2
+    # the exact orbit as (num, den, first-occurrence index): z^2 - 1 from 0
+    # repeats at z_2
     z2 = build_family([1, 1], 2)
     minus_one = specialized(z2, Fraction(-1))
-    assert list(itertools.islice(minus_one.orbit(Fraction(0)), 3)) == [(0, 0), (-1, 1), (0, 0)]
-    # lazy: one evaluation per point after z_0, none ahead of the request
+    assert list(itertools.islice(minus_one.orbit(Fraction(0)), 3)) == [
+        (0, 1, 0), (-1, 1, 1), (0, 1, 0)
+    ]
+    # lazy: one kernel step per point after z_0, none ahead of the request
     calls = []
-    evaluate = P.evaluate
-    monkeypatch.setattr(P, "evaluate", lambda cs, z: calls.append(z) or evaluate(cs, z))
+    step = family.SpecializedMap.step
+    monkeypatch.setattr(family.SpecializedMap, "step",
+                        lambda self, x, y: calls.append((x, y)) or step(self, x, y))
     orbit = minus_one.orbit(Fraction(1, 3))  # wandering
     points = []
     for n in range(6):
-        w, first = next(orbit)
+        num, den, first = next(orbit)
         assert first == n and len(calls) == n
-        points.append(w)
-    assert w == evaluate(specialize(z2, Fraction(-1)), points[-2])
+        points.append(Fraction(num, den))
+    assert calls[-1] == (points[-2].numerator, points[-2].denominator)
+    assert points[-1] == P.evaluate(specialize(z2, Fraction(-1)), points[-2])
+
+
+# a_0 with square prime factors: 12 = 2^2 3, 45/4 = 3^2 5 / 2^2, 1/50 = 1/(2 5^2)
+_KERNEL_FAMILIES = st.builds(
+    lambda e, lead, middle, const: build_family([lead, *middle, const], e),
+    e=st.sampled_from([2, 3, 4]),
+    lead=st.sampled_from([Fraction(1), Fraction(2), Fraction(3, 4)]),
+    middle=st.lists(st.fractions(-5, 5, max_denominator=6), max_size=2),
+    const=st.sampled_from([Fraction(12), Fraction(-18), Fraction(45, 4), Fraction(1, 50)]),
+)
+
+
+def _assert_kernel_step(fmap, cs, w):
+    """One kernel step from w is the dense Horner value, in lowest terms
+    with den > 0."""
+    num, den = fmap.step(w.numerator, w.denominator)
+    assert den > 0 and math.gcd(num, den) == 1
+    fw = P.evaluate(cs, w)
+    assert (num, den) == (fw.numerator, fw.denominator)
+    assert fmap(w) == fw
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    fam=_KERNEL_FAMILIES,
+    t=st.one_of(st.fractions(-50, 50, max_denominator=10**6), st.sampled_from([0, -1, -2])),
+    z=st.one_of(st.fractions(-30, 30, max_denominator=50), st.integers(-3, 3)),
+)
+@example(fam=build_family([1, 12], 2), t=Fraction(-1, 12), z=0)  # z^2 - 1: 0, -1, 0
+@example(fam=build_family([1, 12], 2), t=Fraction(-1, 6), z=0)  # z^2 - 2: 0, -2, 2, 2
+def test_orbit_kernel_matches_fraction_horner(fam, t, z):
+    t, z = Fraction(t), Fraction(z)
+    fmap, cs = specialized(fam, t), specialize(fam, t)
+    # first-occurrence indices against a dict of Fractions, points against
+    # Horner's rule on the dense coefficients
+    seen, w = {}, z
+    for n, (num, den, first) in enumerate(itertools.islice(fmap.orbit(z), 8)):
+        assert (num, den) == (w.numerator, w.denominator)
+        assert first == seen.setdefault(w, n)
+        if num.bit_length() + den.bit_length() > 3000:
+            break
+        _assert_kernel_step(fmap, cs, w)
+        w = P.evaluate(cs, w)
+
+
+def test_orbit_kernel_on_an_8000_digit_point():
+    big = Fraction(-(10**7999 + 3), 7**30)
+    for lead in (Fraction(1), Fraction(2), Fraction(3, 4)):
+        fam = build_family([lead, Fraction(-5, 6), Fraction(45, 4)], 2)
+        for t in (Fraction(3, 10**6 - 1), Fraction(-7, 4)):
+            fmap, cs = specialized(fam, t), specialize(fam, t)
+            for w in (big, -big, big.numerator, Fraction(1, big.numerator)):
+                _assert_kernel_step(fmap, cs, Fraction(w))
 
 
 def test_monic_normalize_identity_for_monic():

@@ -43,7 +43,7 @@ def test_clear_denominators():
     g, m = P.clear_denominators(f)
     assert m == 12
     assert g == P.poly([2, 9, 24])
-    assert all(c.denominator == 1 for c in g)
+    assert all(type(c) is int for c in g)
 
 
 def test_factor_over_q_reconstructs():

@@ -11,12 +11,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heightforge import _polys as P
 from heightforge import arith, family
 from heightforge.arith import INF, Place, padic_valuation, support, vp_or_none
 from heightforge.constants import _mk_c, exceptional_places, pigeonhole_delta, theorem1_constants
 from heightforge._intervals import Interval, log_prime_iv
 from heightforge.errors import BudgetExceeded, DomainError
-from heightforge.family import Family, analyze_cover, build_family, specialized
+from heightforge.family import Family, analyze_cover, build_family, specialize, specialized
 from heightforge.heights import (
     GreenResult,
     _naive_height_interval,
@@ -158,11 +159,15 @@ def _reference_escape_place(fmap, w):
 
 
 def _reference_orbit(fam, t, z, max_steps):
-    """iterate_orbit with the denominator factored at every point."""
+    """iterate_orbit with each point evaluated by Horner's rule on the dense
+    coefficients of f_t, repeats found by a dict of Fractions, and the
+    denominator factored at every point."""
     fmap = specialized(fam, t)
-    points = []
-    for n, (w, first) in enumerate(fmap.orbit(z)):
+    coeffs = specialize(fam, t)
+    points, seen, w = [], {}, Fraction(z)
+    for n in itertools.count():
         points.append(w)
+        first = seen.setdefault(w, n)
         if first < n:
             return points, CycleFound(first, n - first)
         pl = _reference_escape_place(fmap, w)
@@ -171,6 +176,7 @@ def _reference_orbit(fam, t, z, max_steps):
         bits = w.numerator.bit_length() + w.denominator.bit_length()
         if n == max_steps or bits > preperiodic._ORBIT_BIT_CAP:
             return points, OrbitTruncated(n)
+        w = P.evaluate(coeffs, w)
 
 
 def _count_factorings(monkeypatch) -> list[int]:
@@ -240,8 +246,10 @@ def test_orbit_prime_set_finds_the_same_escape_place(fam, t, z):
     assert primes == tuple(sorted(
         set(support(Fraction(z.denominator))) | set(support(Fraction(fmap.integral_model[1])))
     ))
-    for w, _ in itertools.islice(fmap.orbit(z), 6):
-        assert preperiodic._escape_place(fmap, w, primes) == _reference_escape_place(fmap, w)
+    for num, den, _ in itertools.islice(fmap.orbit(z), 6):
+        assert preperiodic._escape_place(fmap, num, den, primes) == _reference_escape_place(
+            fmap, Fraction(num, den)
+        )
     # the event step is the first step at which the reference test fires
     ref_points, ref_event = _reference_orbit(fam, t, z, 5)
     assert (rec.points, rec.event) == (tuple(ref_points), ref_event)
@@ -310,7 +318,7 @@ def test_certify_height_interval_witness(monkeypatch):
     # with no escape place, neither a cycle nor an escape is found, and the
     # canonical-height enclosure certifies the point, as it does a slow
     # wanderer that escapes past the step budget
-    monkeypatch.setattr(preperiodic, "_escape_place", lambda *args: None)
+    monkeypatch.setattr(preperiodic, "_escape_place", lambda fmap, num, den, primes: None)
     cert = certify_point(Z2T, t, Fraction(0))
     assert cert.verdict == "wandering" and cert.witness == "height-interval"
     assert cert.orbit.event == OrbitTruncated(2)
@@ -335,7 +343,7 @@ def _orbits_without_escape(monkeypatch):
         records.append(real_orbit(fam, t, z, steps))
         return records[-1]
 
-    monkeypatch.setattr(preperiodic, "_escape_place", lambda *args: None)
+    monkeypatch.setattr(preperiodic, "_escape_place", lambda fmap, num, den, primes: None)
     monkeypatch.setattr(preperiodic, "iterate_orbit", orbit)
     return budgets, records
 
@@ -832,7 +840,7 @@ def test_pigeonhole_pair_exists():
     ]
     for t, v in cases:
         orbit = specialized(fam, t).orbit(Fraction(2))
-        pts = [w for w, _ in itertools.islice(orbit, fam.d + 3)]
+        pts = [Fraction(num, den) for num, den, _ in itertools.islice(orbit, fam.d + 3)]
         assert len(set(pts)) == len(pts)
         if v.is_archimedean:
             logt = math.log(max(1.0, abs(float(t))))
