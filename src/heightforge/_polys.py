@@ -5,15 +5,14 @@ the cover-spec JSON convention).  Everything here is exact arithmetic:
 Fraction ring operations, denominator clearing on integers, and resultants as
 Sylvester determinants, which the package only takes of small polynomials (a
 cover's numerator and denominator).  sympy factors over Q and takes
-discriminants (of the radical of F(X, 1)).
+discriminants (of the radical of F(X, 1)); it is imported on the first such
+call, not with the package, as no height, Green's function or orbit needs it.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from typing import Sequence
-
-import sympy
 
 from .arith import parse_rational
 from .errors import DomainError
@@ -66,7 +65,10 @@ def clear_denominators(f: Coeffs) -> tuple[tuple[int, ...], int]:
     return tuple(c.numerator * (m // c.denominator) for c in f), m
 
 
-def _sympy_poly(f: Coeffs) -> sympy.Poly:
+def _sympy_poly(f: Coeffs):
+    """f as a sympy Poly in x, importing sympy on the first call."""
+    import sympy
+
     return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f)],
                       sympy.Symbol("x"))
 

@@ -14,6 +14,7 @@ Conventions: v_p is the usual additive valuation with v_p(p) = 1, so
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
@@ -34,7 +35,6 @@ from ._intervals import (
 from .errors import BudgetExceeded, DomainError, SpecError
 
 from mpmath.libmp import fzero, mpi_add, mpi_mul
-from sympy import perfect_power, primerange
 
 # ---------------------------------------------------------------------------
 # rational serialization ("num/den" strings in all I/O)
@@ -86,13 +86,57 @@ def format_rational(q: Fraction | int) -> str:
 
 
 # ---------------------------------------------------------------------------
+# integer roots
+# ---------------------------------------------------------------------------
+
+
+def integer_root(n: int, k: int) -> tuple[int, bool]:
+    """(r, r**k == n) for r = floor(n^(1/k)), n >= 0 and k >= 1.
+
+    math.isqrt for k = 2.  Otherwise Newton's method on integers from a float
+    estimate of the root's top 52 bits: one step from any x > 0 lands at or
+    above r, by the AM-GM inequality; from x > r a step lowers x and stays
+    >= r, and x = r exactly when n // x^(k-1) >= x, where the loop ends."""
+    if k == 2:
+        r = math.isqrt(n)
+        return r, r * r == n
+    if n < 2 or k == 1:
+        return n, True
+    b = n.bit_length()
+    if b <= k:  # 2 <= n < 2^k
+        return 1, False
+    s = max(0, b // k - 52)
+    x = int(2.0 ** (math.log2(n >> s * k) / k)) + 1 << s
+    x = ((k - 1) * x + n // x ** (k - 1)) // k
+    while True:
+        q, rem = divmod(n, x ** (k - 1))
+        if q >= x:
+            return x, q == x and not rem
+        x = ((k - 1) * x + q) // k
+
+
+# ---------------------------------------------------------------------------
 # primality and factoring.  Strong Fermat tests to the 13 prime bases 2..41
 # prove primality below 3317044064679887385961981, the least strong pseudoprime
 # to all of them (Sorenson-Webster 2017); at or above it is_prime refuses.
 # Brent's Pollard rho splits cofactors within _RHO_ITERATIONS per factoring.
+# The primes below 10^4 come from a sieve at import.  sympy's perfect_power,
+# the only sympy call here, is imported at the first composite cofactor with
+# no prime factor below 10^4, so importing the package loads no sympy.
 # ---------------------------------------------------------------------------
 
-_SMALL_PRIMES = list(primerange(10_000))
+
+def _primes_below(n: int) -> list[int]:
+    """The primes below n >= 2, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return list(itertools.compress(range(n), sieve))
+
+
+_SMALL_PRIMES = _primes_below(10_000)
 _MR_BASES = _SMALL_PRIMES[:13]
 _MR_PROOF_BOUND = 3317044064679887385961981
 _RHO_ITERATIONS = 1 << 22  # 16x the most 4 000 products of two 9-digit primes took
@@ -182,6 +226,8 @@ def factor_integer(n: int) -> dict[int, int]:
         if is_prime(m):
             out[m] = out.get(m, 0) + k
             continue
+        from sympy import perfect_power
+
         power = perfect_power(m)
         if power:
             # Pollard rho is slow on powers: factor the base once instead

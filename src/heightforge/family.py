@@ -16,8 +16,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Sequence
 
-from sympy import integer_nthroot
-
 from . import _polys
 from ._intervals import Interval, log_interval
 from ._polys import Coeffs
@@ -25,6 +23,7 @@ from .arith import (
     LocalValue,
     factor_integer,
     format_rational,
+    integer_root,
     least_root_valuation,
     padic_valuation,
     parse_rational,
@@ -254,7 +253,7 @@ class SpecializedMap:
     the memoized `specialized`."""
 
     def __init__(self, fam: Family, t: Fraction):
-        self.e, self.d = fam.e, fam.d
+        self.e, self.d, self.t = fam.e, fam.d, t
         D = fam.deg_form
         self.ze_coeffs = tuple(fam.coefficient(j) * t ** (D - j) for j in range(D + 1))
         self._green_data: dict[int, _FiniteGreenData] = {}
@@ -318,8 +317,11 @@ class SpecializedMap:
 
     @cached_property
     def denominator_factors(self) -> dict[int, int]:
-        """The factorization {p: v_p(M)} of M, sorted by p."""
-        return factor_integer(self.integral_model[1])
+        """The factorization {p: v_p(M)} of M, sorted by p.  M divides a power
+        of den t times the coefficient denominators, so M is divided by den
+        t's primes and only what is left is factored."""
+        den_primes = [p for p, _ in parameter_denominator_factors(self.t.denominator)]
+        return _factor_over(self.integral_model[1], den_primes)
 
     @cached_property
     def denominator_primes(self) -> tuple[int, ...]:
@@ -330,18 +332,7 @@ class SpecializedMap:
         """The factorization {p: v_p(n)} of an integer n != 0, sorted by p:
         valuations at M's primes by division, and factor_integer only on the
         cofactor prime to M, so no prime of M is searched for again."""
-        n, out = abs(n), {}
-        for p in self.denominator_primes:
-            k = 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            if k:
-                out[p] = k
-        if n == 1:
-            return out  # sorted already, as M's primes are
-        out.update(factor_integer(n))
-        return dict(sorted(out.items()))
+        return _factor_over(n, self.denominator_primes)
 
     def bad_primes(self, z: Fraction) -> tuple[int, ...]:
         """The sorted primes of M and of den z: the only primes at which the
@@ -359,6 +350,31 @@ class SpecializedMap:
         if data is None:
             data = self._green_data[p] = _FiniteGreenData(self.ze_coeffs, self.e, p)
         return data
+
+
+@lru_cache(maxsize=256)
+def parameter_denominator_factors(den: int) -> tuple[tuple[int, int], ...]:
+    """The factorization of a parameter's denominator as sorted (p, v_p)
+    pairs, factored once: the bad-place obstruction and the map at t both
+    read it, and the parameters of a box share few denominators."""
+    return tuple(factor_integer(den).items())
+
+
+def _factor_over(n: int, primes) -> dict[int, int]:
+    """{p: v_p(n)} for n != 0, sorted by p: valuations at the sorted `primes`
+    by division, and factor_integer only on the cofactor prime to them."""
+    n, out = abs(n), {}
+    for p in primes:
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        if k:
+            out[p] = k
+    if n == 1:
+        return out  # sorted already, as the primes are
+    out.update(factor_integer(n))
+    return dict(sorted(out.items()))
 
 
 @lru_cache(maxsize=256)
@@ -414,8 +430,8 @@ def _rational_kth_root(q: Fraction, k: int) -> Optional[Fraction]:
     neg = q < 0
     if neg and k % 2 == 0:
         return None
-    num, num_exact = integer_nthroot(abs(q.numerator), k)
-    den, den_exact = integer_nthroot(q.denominator, k)
+    num, num_exact = integer_root(abs(q.numerator), k)
+    den, den_exact = integer_root(q.denominator, k)
     if not (num_exact and den_exact):
         return None
     root = Fraction(num, den)

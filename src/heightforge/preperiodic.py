@@ -53,8 +53,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from sympy import integer_nthroot
-
 from ._intervals import exp_floor
 from .arith import (
     _MAX_INTEGER_DIGITS,
@@ -63,12 +61,20 @@ from .arith import (
     _naive_height_interval,
     factor_integer,
     format_rational,
+    integer_root,
     vp_or_none,
     vp_pair,
 )
 from .constants import exceptional_places
 from .errors import BudgetExceeded, DomainError
-from .family import CoverAnalysis, Family, SpecializedMap, evaluate_cover, specialized
+from .family import (
+    CoverAnalysis,
+    Family,
+    SpecializedMap,
+    evaluate_cover,
+    parameter_denominator_factors,
+    specialized,
+)
 from .heights import canonical_height, local_green
 
 __all__ = [
@@ -408,7 +414,7 @@ def bad_place_obstruction(fam: Family, t: Fraction) -> list[ObstructionRecord]:
         return []
     exceptional = {pl.prime for pl in exceptional_places(fam) if not pl.is_archimedean}
     out = []
-    for p, m in factor_integer(t.denominator).items():
+    for p, m in parameter_denominator_factors(t.denominator):
         if p in exceptional:
             continue
         k = -m  # v_p(t) < 0 since p divides the denominator
@@ -465,10 +471,10 @@ def power_criterion(d: int, m: int, t: Fraction) -> CriterionResult:
     value = x**m + y**m
     if value == 0:
         return CriterionResult(True, 0, 0)
-    root, exact = integer_nthroot(abs(value), d)
+    root, exact = integer_root(abs(value), d)
     if not exact:
         return CriterionResult(False, None, value)
-    return CriterionResult(True, int(root), value)
+    return CriterionResult(True, root, value)
 
 
 def find_nonpower_place(

@@ -8,6 +8,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from heightforge import arith
 from heightforge.arith import (
@@ -18,6 +19,7 @@ from heightforge.arith import (
     factor_integer,
     factor_rational,
     format_rational,
+    integer_root,
     is_prime,
     least_root_valuation,
     log_plus,
@@ -106,6 +108,23 @@ def test_is_prime_proves_or_refuses():
         factor_integer(7 * PSI_13)
     with pytest.raises(BudgetExceeded):
         Place.finite(PSI_13)
+
+
+def test_small_primes_sieve_matches_sympy():
+    assert arith._SMALL_PRIMES == list(sympy.primerange(10_000))
+    assert arith._MR_BASES == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(base=st.integers(0, 10**200), k=st.integers(2, 7), power=st.booleans(),
+       shift=st.integers(-1, 1))
+@example(base=2**80 + 1, k=3, power=True, shift=-1)  # an 81-bit root: estimate from top bits
+@example(base=3, k=7, power=False, shift=0)  # 2 <= n < 2^k
+def test_integer_root_matches_sympy(base, k, power, shift):
+    # n = base, or an exact k-th power of a root below 10^(200/k) and its
+    # neighbours; n stays at or below about 10^200
+    n = max(0, (base % 10 ** (200 // k)) ** k + shift if power else base)
+    assert integer_root(n, k) == sympy.integer_nthroot(n, k)
 
 
 def test_factor_integer_matches_sympy():

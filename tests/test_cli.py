@@ -404,6 +404,38 @@ def test_subprocess_exit_codes():
     assert json.loads(proc.stdout)["error"]["kind"] == "budget"
 
 
+# each runs in a fresh interpreter, which must end with no sympy module
+# loaded: sympy is imported only where a polynomial is factored or a
+# discriminant taken, and no height, Green's function or orbit needs that
+_HEIGHTS_SETUP = (
+    "from fractions import Fraction as Q\n"
+    "from heightforge import Place, build_family\n"
+    "from heightforge.heights import arakelov_green, canonical_height, local_green\n"
+    "fam = build_family([1, 1], 2)\n"
+)
+_SYMPY_FREE = {
+    "import": "import heightforge.cli",
+    "canonical_height": _HEIGHTS_SETUP + "canonical_height(fam, Q(1), Q(1, 3))",
+    "local_green_inf": _HEIGHTS_SETUP + "local_green(fam, Q(1), Place(None), Q(1, 3))",
+    "local_green_2": _HEIGHTS_SETUP + "local_green(fam, Q(1, 2), Place(2), Q(1, 3))",
+    "arakelov_green": _HEIGHTS_SETUP + "arakelov_green(fam, Q(1), Place(None), Q(1, 3), Q(1, 5))",
+    "cli_green": "from heightforge.cli import main\n"
+                 f"assert main(['green', '--family', {FAM2!r}, '--t', '1', '--place', 'inf',"
+                 " '--z', '1/3']) == 0",
+    "cli_height": "from heightforge.cli import main\n"
+                  f"assert main(['height', '--family', {FAM2!r}, '--t', '-1', '--z', '1/3']) == 0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SYMPY_FREE))
+def test_path_loads_no_sympy(name):
+    check = "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))"
+    proc = subprocess.run([sys.executable, "-c", _SYMPY_FREE[name] + check],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_scan_budget_below_one_exit_2():
     # 1/3 is obstructed, so no orbit would have read the budget
     proc = _run_script("scan", "--family", FAM2, "--t-bound", "0.8", "--z-bound", "0.8",

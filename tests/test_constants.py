@@ -517,6 +517,7 @@ def test_resultant_bound_factors_den_t_once(monkeypatch):
     monkeypatch.setattr(arith, "factor_integer", counted)
     monkeypatch.setattr(family, "factor_integer", counted)
     family._specialized.cache_clear()
+    family.parameter_denominator_factors.cache_clear()
     rb = resultant_bound_check(Z2T, Fraction(-7, p * q))
     assert [n for n in seen if n % p == 0] == [p * q]
     assert rb.ok and rb.rhs == LogSum({p: Fraction(4), q: Fraction(4)})

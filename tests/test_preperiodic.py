@@ -289,6 +289,19 @@ def test_certify_factors_no_multiple_of_an_integral_parameter(monkeypatch):
     assert factored and not any(n % pq == 0 for n in factored)
 
 
+def test_certify_factors_den_t_once(monkeypatch):
+    # den t = p^2 is not obstructed (e = 2 divides v_p(t) = -2): the
+    # obstruction and the map read one factorization of den t, and the
+    # orbit's prime set then finds den z = p among M's primes
+    p = 1000000000039
+    family._specialized.cache_clear()
+    family.parameter_denominator_factors.cache_clear()
+    factored = _count_factorings(monkeypatch)
+    cert = certify_point(Z2T, Fraction(1, p**2), Fraction(1, p))
+    assert cert.verdict == "wandering" and cert.witness == Place.finite(p)
+    assert [n for n in factored if n % p == 0] == [p**2]
+
+
 def test_certify_wandering_3adic_shortcut():
     # t = 1/3 is obstructed at 3, so every rational z wanders; the witness
     # bound is G_3(1/2) = (1/2) log 3 exactly
