@@ -4,9 +4,10 @@ Coefficient lists are constant-term first throughout the package (matching
 the cover-spec JSON convention).  Everything here is exact arithmetic:
 Fraction ring operations, denominator clearing on integers, and resultants as
 Sylvester determinants, which the package only takes of small polynomials (a
-cover's numerator and denominator).  sympy factors over Q and takes
-discriminants (of the radical of F(X, 1)); it is imported on the first such
-call, not with the package, as no height, Green's function or orbit needs it.
+cover's numerator and denominator).  sympy factors over Q (degree 2 and up)
+and takes discriminants (of the radical of F(X, 1)); it is imported on the
+first such call, not with the package, as no height, Green's function or
+orbit needs it.
 """
 from __future__ import annotations
 
@@ -74,7 +75,7 @@ def _sympy_poly(f: Coeffs):
 
 
 def factor_over_q(f: Coeffs) -> tuple[Fraction, list[tuple[Coeffs, int]]]:
-    """Irreducible factorization over Q via sympy.
+    """Irreducible factorization over Q via sympy, or directly for degree 1.
 
     Returns (content, [(factor, multiplicity)]); the factors are primitive
     integer polynomials with positive leading coefficient, in a deterministic
@@ -83,6 +84,12 @@ def factor_over_q(f: Coeffs) -> tuple[Fraction, list[tuple[Coeffs, int]]]:
     """
     if degree(f) < 1:
         return (f[0] if f else Fraction(0)), []
+    if degree(f) == 1:
+        # f = c (a X + b) with a > 0 and gcd(a, b) = 1 is its own factorization,
+        # and sympy's import (0.3 s) is not needed for it
+        (b, a), m = clear_denominators(f)
+        g = math.gcd(a, b) if a > 0 else -math.gcd(a, b)
+        return Fraction(g, m), [((Fraction(b // g), Fraction(a // g)), 1)]
     content, factors = _sympy_poly(f).factor_list()
     out = []
     for fac, mult in factors:

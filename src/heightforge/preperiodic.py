@@ -39,6 +39,12 @@ Fast filters used by the scanner:
   at most max(|num z|, den z), since e^k is never an integer; a table of them,
   built once from outward-rounded enclosures of e^k, gives each bucket by
   exact integer comparisons, with no logarithm.
+* step-0 escapes by counting: the scan goes one candidate denominator at a
+  time, and +-num/den with num > lim = floor(R_esc den) lies in the escape
+  region at infinity, so its orbit would end at step 0 as neither a finding
+  nor an unresolved point.  Those candidates are only counted, per height
+  bucket, by Moebius inclusion-exclusion over den's primes, with no Fraction
+  and no orbit; only 1 <= num <= lim is iterated.
 """
 from __future__ import annotations
 
@@ -47,7 +53,6 @@ import math
 import os
 import time
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -105,7 +110,7 @@ _ORBIT_BIT_CAP = 200_000
 _MAX_BOX_PARAMETERS = 10**6
 
 # ceil(e^k) for k = 1, 2, ... until e^k > 2^k passes the largest candidate
-# size max(|num z|, den z) that _candidate_points enumerates.  e^k is never an
+# size max(|num z|, den z) that _candidate_denominators allows.  e^k is never an
 # integer, so for an integer n >= 1, floor(log n) is the number of entries <= n
 _EXP_CEILS = tuple(
     exp_floor(k) + 1 for k in range(1, (_MAX_BOX_PARAMETERS // 2).bit_length() + 1)
@@ -592,19 +597,22 @@ def _plus_minus(dens: Iterable[int], size: int) -> Iterator[Fraction]:
                 yield Fraction(-num, den)
 
 
-def _candidate_points(
+def _candidate_denominators(
     fam: Family, t: Fraction, z_bound: float, forced: dict[int, int]
-) -> Iterator[Fraction]:
-    """Candidate preperiodic points: numerator and denominator bounded by
-    exp(z_bound), denominator = (forced part from the bad places) x (a
-    divisor supported on the exceptional primes, with each p to at most
-    max(0, -ceil(theta_p)), the escape threshold); all other denominators
-    put z in an escape region.  More than _MAX_BOX_PARAMETERS candidates
-    (2 N per denominator) are refused first."""
+) -> tuple[int, bool, list[tuple[int, tuple[int, ...]]]]:
+    """The candidate preperiodic points, by denominator: (size, zero, dens)
+    with size = floor(exp(z_bound)) the bound on |num z| and den z, zero
+    whether z = 0 is a candidate, and the sorted (den, primes of den) pairs;
+    the candidates are +-num/den in lowest terms for 1 <= num <= size.  Each
+    den is (forced part from the bad places) x (a divisor supported on the
+    exceptional primes, with each p to at most max(0, -ceil(theta_p)), the
+    escape threshold); all other denominators put z in an escape region.
+    More than _MAX_BOX_PARAMETERS candidates (2 size per denominator) are
+    refused first."""
     size = _box_size(z_bound)
     base = math.prod(p ** -k for p, k in forced.items())
     if base > size:
-        return
+        return size, False, []
     fmap = specialized(fam, t)
     extra: list[tuple[int, int]] = []
     for pl in sorted(exceptional_places(fam), key=lambda pl: pl.sort_key()):
@@ -613,14 +621,37 @@ def _candidate_points(
         cap = -fmap.green_data(pl.prime).theta_ceil
         if cap > 0:
             extra.append((pl.prime, cap))
-    dens = {base}
+    dens = {base: tuple(sorted(forced))}
     for p, cap in extra:
-        dens |= {d0 * p**j for d0 in dens for j in range(1, cap + 1) if d0 * p**j <= size}
+        dens.update({d0 * p**j: (*primes, p) for d0, primes in dens.items()
+                     for j in range(1, cap + 1) if d0 * p**j <= size})
     if 2 * size * len(dens) > _MAX_BOX_PARAMETERS:
         raise DomainError(f"z-box of height {z_bound} exceeds {_MAX_BOX_PARAMETERS} candidates")
-    if base == 1:
-        yield Fraction(0)
-    yield from _plus_minus(sorted(dens), size)
+    return size, base == 1, sorted(dens.items())
+
+
+def _escape_buckets(lim: int, size: int, primes: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """(bucket, count) for the integers num in (lim, size] prime to a den
+    with the given distinct primes, bucketed as bisect_right(_EXP_CEILS, num)
+    (that is floor(log num)), skipping empty buckets.  Each segment of a
+    bucket is counted by Moebius inclusion-exclusion:
+    Phi(x) = #{1 <= n <= x : gcd(n, den) = 1} = sum over subsets S of the
+    primes of (-1)^|S| floor(x / prod S)."""
+    terms = [(1, 1)]  # (prod S, (-1)^|S|)
+    for p in primes:
+        terms += [(q * p, -sign) for q, sign in terms]
+
+    def phi(x: int) -> int:
+        return sum(sign * (x // q) for q, sign in terms)
+
+    k = bisect_right(_EXP_CEILS, lim + 1)
+    lo, below = lim, phi(lim)
+    while lo < size:
+        hi = min(size, _EXP_CEILS[k] - 1)  # bucket k is [_EXP_CEILS[k-1], _EXP_CEILS[k])
+        upto = phi(hi)
+        if upto > below:
+            yield k, upto - below
+        lo, below, k = hi, upto, k + 1
 
 
 def _criterion_shape(fam: Family, cover: Optional[CoverAnalysis]) -> Optional[tuple[int, int]]:
@@ -650,6 +681,15 @@ def _scan_one(
     cover: Optional[CoverAnalysis],
     criterion: Optional[tuple[int, int]],
 ) -> dict:
+    """One parameter of a scan: the cover, criterion and obstruction filters,
+    then every candidate z, bucketed by floor(h(z)), as a dict of plain
+    values that a worker process can return.
+
+    The candidates go by denominator.  With lim = floor(R_esc den), each
+    +-num/den with num > lim escapes at infinity at step 0, so it is counted
+    per bucket in closed form (`_escape_buckets`).  z = 0 and each num <= lim
+    prime to den get an orbit; for even e the orbit of -z is read from that
+    of z (`_twin_record`), and for odd e it is iterated too."""
     res: dict = {
         "pole": False,
         "criterion": False,
@@ -679,22 +719,40 @@ def _scan_one(
         for rec in obstructions
         if rec.forced_valuation is not None
     }
-    twins = fam.e % 2 == 0  # f_t(-z) = f_t(z)
+    size, zero, dens = _candidate_denominators(fam, param, z_bound, forced)
     heights = res["heights"]
-    for z in _candidate_points(fam, param, z_bound, forced):
-        # _candidate_points yields each -z right after z
-        if twins and z.numerator < 0:
-            record = _twin_record(record, budget)
-        else:
-            record = iterate_orbit(fam, param, z, budget)
+
+    def tally(z: Fraction, record: OrbitRecord) -> None:
         bucket = bisect_right(_EXP_CEILS, max(abs(z.numerator), z.denominator))
         heights[bucket] = heights.get(bucket, 0) + 1
         if isinstance(record.event, CycleFound):
-            res["findings"].append(
-                Finding(t, z, record.event.preperiod, record.event.period)
-            )
+            res["findings"].append(Finding(t, z, record.event.preperiod, record.event.period))
         elif isinstance(record.event, OrbitTruncated):
             res["unresolved"].append((t, z))
+
+    if zero:
+        tally(Fraction(0), iterate_orbit(fam, param, Fraction(0), budget))
+    if not dens:
+        return res  # no candidate, so no map is built
+    radius = specialized(fam, param).escape_radius
+    twins = fam.e % 2 == 0  # f_t(-z) = f_t(z)
+    for den, primes in dens:
+        # num > lim exactly when |num / den| > R_esc: +-num/den escapes at
+        # infinity at step 0, before any budget or bit-cap test, so it is
+        # neither a finding nor unresolved and only fills a height bucket
+        lim = radius.numerator * den // radius.denominator
+        for num in range(1, min(lim, size) + 1):
+            if math.gcd(num, den) != 1:
+                continue
+            z = Fraction(num, den)
+            record = iterate_orbit(fam, param, z, budget)
+            tally(z, record)
+            if twins:
+                tally(-z, _twin_record(record, budget))
+            else:
+                tally(-z, iterate_orbit(fam, param, -z, budget))
+        for bucket, count in _escape_buckets(lim, size, primes):
+            heights[bucket] = heights.get(bucket, 0) + 2 * count
     return res
 
 
@@ -743,6 +801,9 @@ def scan(
     # os.cpu_count() reads the OS on each call, so a serial scan skips it
     workers = 1 if jobs == 1 else min(jobs, os.cpu_count() or 1, len(ts))
     if workers > 1:
+        # imported here, so that only a parallel scan loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         payloads = [(fam, t, z_height_bound, budget, cover, criterion) for t in ts]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_worker, payloads, chunksize=8))

@@ -424,6 +424,14 @@ _SYMPY_FREE = {
                  " '--z', '1/3']) == 0",
     "cli_height": "from heightforge.cli import main\n"
                   f"assert main(['height', '--family', {FAM2!r}, '--t', '-1', '--z', '1/3']) == 0",
+    # F(X, 1) = X + 1 is linear, so reading the exceptional places factors nothing
+    "cli_certify": "from heightforge.cli import main\n"
+                   f"assert main(['certify', '--family', {FAM2!r}, '--t', '1', '--z', '1/3']) == 0",
+    "cli_obstruct": "from heightforge.cli import main\n"
+                    f"assert main(['obstruct', '--family', {FAM2!r}, '--t', '1/9']) == 0",
+    "cli_scan": "from heightforge.cli import main\n"
+                f"assert main(['scan', '--family', {FAM2!r}, '--t-bound', '0.8',"
+                " '--z-bound', '1.0']) == 0",
 }
 
 
@@ -432,6 +440,18 @@ def test_path_loads_no_sympy(name):
     check = "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))"
     proc = subprocess.run([sys.executable, "-c", _SYMPY_FREE[name] + check],
                           capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_import_loads_no_process_pool():
+    # only a scan with more than one worker needs concurrent.futures and the
+    # multiprocessing modules it brings
+    check = ("import sys\nimport heightforge.cli\n"
+             "print(sorted(m for m in sys.modules"
+             " if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                          timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
 

@@ -61,6 +61,22 @@ def test_factor_over_q_reconstructs():
             assert fac[-1] > 0
 
 
+def test_factor_over_q_linear_matches_sympy():
+    # degree 1 is factored without sympy: content sign(a) gcd / M and the
+    # primitive integer factor with positive lead
+    rng = random.Random(11)
+    cases = [P.poly([3, -6]), P.poly(["-1/2", "3/4"]), P.poly([0, "-5/7"]), P.poly([1, 1])]
+    for _ in range(300):
+        lead = Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.randint(1, 10**4))
+        cases.append(P.poly([Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)), lead]))
+    for f in cases:
+        content, factors = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                                       for c in reversed(f)], sympy.Symbol("x")).factor_list()
+        expected = [(P.poly([Fraction(c.p, c.q) for c in reversed(fac.all_coeffs())]), int(m))
+                    for fac, m in factors]
+        assert P.factor_over_q(f) == (Fraction(content.p, content.q), expected), f
+
+
 def test_factor_over_q_known():
     # x^5 + 1 = (x + 1)(x^4 - x^3 + x^2 - x + 1)
     _, facs = P.factor_over_q(P.poly([1, 0, 0, 0, 0, 1]))

@@ -1,4 +1,5 @@
 """Orbits, certificates, obstruction filters, criterion, and scans."""
+import concurrent.futures
 import itertools
 import json
 import math
@@ -9,7 +10,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from heightforge import _polys as P
 from heightforge import arith, family
@@ -32,7 +33,9 @@ from heightforge.preperiodic import (
     CycleFound,
     EscapeCertified,
     OrbitTruncated,
-    _candidate_points,
+    _EXP_CEILS,
+    _candidate_denominators,
+    _escape_buckets,
     _rationals_in_box,
     bad_place_obstruction,
     certify_point,
@@ -690,6 +693,115 @@ def test_scan_exceptional_denominator_caps():
         assert {f.z for f in rep.findings} == expected, t
 
 
+@st.composite
+def _escape_counts_case(draw):
+    """(size, den, primes, R) with den made of 0 to 3 distinct primes and
+    floor(R den) often at, just below or just above an entry of _EXP_CEILS
+    (two below leaves a bucket segment of one integer, which den may divide)."""
+    primes = draw(st.lists(st.sampled_from([2, 3, 5, 7, 11]), max_size=3, unique=True))
+    den = math.prod(p ** draw(st.integers(1, 2)) for p in primes)
+    size = draw(st.integers(1, 2000))
+    if draw(st.booleans()):
+        target = draw(st.sampled_from([c for c in _EXP_CEILS if c <= 2100]))
+        radius = Fraction(max(den, target + draw(st.integers(-2, 1))), den)
+    else:
+        radius = draw(st.fractions(1, 1000, max_denominator=50))
+    return size, den, primes, radius
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_escape_counts_case())
+@example(case=(40, 2, [2], Fraction(19, 2)))  # bucket 2 meets (19, 40] at 20 alone
+def test_escape_buckets_match_enumeration(case):
+    size, den, primes, radius = case
+    lim = math.floor(radius * den)
+    expected: dict[int, int] = {}
+    for num in range(lim + 1, size + 1):
+        if math.gcd(num, den) == 1:
+            bucket = bisect_right(_EXP_CEILS, num)
+            expected[bucket] = expected.get(bucket, 0) + 1
+    counts = list(_escape_buckets(lim, size, primes))
+    assert dict(counts) == expected
+    assert [k for k, _ in counts] == sorted(expected)
+
+
+def _scan_by_candidate(fam, t_values, z_bound, budget=512, cover=None):
+    """The scan's per-parameter work with no shortcut: every candidate,
+    +num/den and -num/den alike, gets its own iterate_orbit, and is bucketed
+    from its own numerator and denominator.  Returns (findings, unresolved,
+    counts by height, candidates checked, the (parameter, z) pairs the scan
+    itself must iterate: z = 0 and those with |z| <= R_esc, only z > 0 of
+    them when e is even)."""
+    findings, unresolved, counts, iterated = [], [], {}, set()
+    for t in sorted(set(t_values)):
+        if cover is not None:
+            try:
+                param = family.evaluate_cover(cover, t)
+            except DomainError:
+                continue
+        else:
+            param = t
+        obstructions = bad_place_obstruction(fam, param)
+        if any(rec.obstructed for rec in obstructions):
+            continue
+        forced = {rec.place.prime: rec.forced_valuation for rec in obstructions
+                  if rec.forced_valuation is not None}
+        size, zero, dens = _candidate_denominators(fam, param, z_bound, forced)
+        points = [Fraction(0)] if zero else []
+        points += [Fraction(s * num, den) for den, _ in dens for num in range(1, size + 1)
+                   if math.gcd(num, den) == 1 for s in (1, -1)]
+        radius = specialized(fam, param).escape_radius
+        iterated |= {(param, z) for z in points
+                     if abs(z) <= radius and (fam.e % 2 or z >= 0)}
+        for z in points:
+            record = iterate_orbit(fam, param, z, budget)
+            bucket = bisect_right(_EXP_CEILS, max(abs(z.numerator), z.denominator))
+            counts[bucket] = counts.get(bucket, 0) + 1
+            if isinstance(record.event, CycleFound):
+                findings.append((t, z, record.event.preperiod, record.event.period))
+            elif isinstance(record.event, OrbitTruncated):
+                unresolved.append((t, z))
+    return sorted(findings), sorted(unresolved), counts, sum(counts.values()), iterated
+
+
+@pytest.mark.parametrize("fam, t_values, z_size, budget, cover", [
+    # odd e, no twins; t = -30 has R_esc = 60 past the box, so no
+    # candidate escapes at step 0, while t = 0 (R_esc = 2) counts every
+    # num above 2 den in closed form
+    (Z3T, [Fraction(0), Fraction(-1), Fraction(1, 8), Fraction(-30), Fraction(7, 3)], 30, 512,
+     None),
+    # exceptional caps at 2 (dens 1, 2, 4), and a forced den 3 with them
+    (Z4T2, [Fraction(1, 16), Fraction(1, 144), Fraction(-2)], 40, 512, None),
+    # a forced den 2, and even e with R_esc = 2: only num <= 2 den iterate
+    (Z2T, [Fraction(1, 4), Fraction(-2), Fraction(-3, 4)], 40, 512, None),
+    # the cover 1/(t - 1), with its pole and obstructed parameters
+    (Z2T, [Fraction(a, b) for a in range(-3, 4) for b in (1, 2, 3)], 12, 512,
+     analyze_cover([1], [-1, 1])),
+    # every orbit that does not end at step 0 runs out of budget
+    (Z2T, [Fraction(-1), Fraction(1, 4)], 20, 1, None),
+])
+def test_scan_matches_per_candidate_iteration(fam, t_values, z_size, budget, cover,
+                                              monkeypatch):
+    z_bound = math.log(z_size)
+    calls = []
+
+    def counted(fam, t, z, max_steps):
+        calls.append((t, z))
+        return iterate_orbit(fam, t, z, max_steps)
+
+    monkeypatch.setattr(preperiodic, "iterate_orbit", counted)
+    rep = scan(fam, 1.0, z_bound, t_values=t_values, budget=budget, cover=cover)
+    monkeypatch.undo()
+    findings, unresolved, counts, checked, iterated = _scan_by_candidate(
+        fam, t_values, z_bound, budget, cover)
+    # a candidate beyond R_esc escapes at step 0 and is counted, not iterated
+    assert sorted(calls) == sorted(iterated)
+    assert [(f.t, f.z, f.preperiod, f.period) for f in rep.findings] == findings
+    assert list(rep.unresolved) == unresolved
+    assert rep.counts_by_height == counts
+    assert rep.candidates_checked == checked > 0
+
+
 def test_scan_skips_the_cover_pole():
     # phi(t) = 1/(t - 1): t = 1 is skipped as a pole, 7 of the other 14
     # parameters are obstructed, and each remaining one finds exactly the
@@ -816,7 +928,7 @@ def test_scan_caps_its_workers(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(preperiodic, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     ts = [Fraction(-1), Fraction(0), Fraction(1)]
     serial = scan(Z2T, 1.0, 1.0, t_values=ts)
     for cpus, expected in ((64, 3), (2, 2)):
@@ -833,8 +945,7 @@ def test_boxes_reach_their_bound():
     # floor(exp(log n)) is n - 1 for n = 20 and 50
     box = _rationals_in_box(math.log(50))
     assert max(q.numerator for q in box) == 50 and max(q.denominator for q in box) == 50
-    points = list(_candidate_points(Z2T, Fraction(0), math.log(20), {}))
-    assert max(z.numerator for z in points) == 20
+    assert _candidate_denominators(Z2T, Fraction(0), math.log(20), {}) == (20, True, [(1, ())])
 
 
 # -- uniformity invariants -------------------------------------------------------------
