@@ -158,6 +158,10 @@ class Family:
 
     def describe(self) -> str:
         """Human-oriented one-liner like 'z^4 - 3 t z^2 + t^2' (e = 2)."""
+        return self._description
+
+    @cached_property
+    def _description(self) -> str:
         D = self.deg_form
         parts = []
         for j in range(D, -1, -1):
@@ -334,12 +338,13 @@ class SpecializedMap:
         cofactor prime to M, so no prime of M is searched for again."""
         return _factor_over(n, self.denominator_primes)
 
-    def bad_primes(self, z: Fraction) -> tuple[int, ...]:
-        """The sorted primes of M and of den z: the only primes at which the
-        orbit of z can leave Z_p.  At any other prime every b_j is p-integral,
-        so the escape threshold is <= 0 and the p-integral orbit never
-        escapes.  A den z made of M's primes is not factored at all."""
-        primes, m_primes = self.factor(z.denominator).keys(), self.denominator_factors.keys()
+    def bad_primes(self, den: int) -> tuple[int, ...]:
+        """The sorted primes of M and of den, the denominator of a point z:
+        the only primes at which the orbit of z can leave Z_p.  At any other
+        prime every b_j is p-integral, so the escape threshold is <= 0 and the
+        p-integral orbit never escapes.  A den made of M's primes is not
+        factored at all."""
+        primes, m_primes = self.factor(den).keys(), self.denominator_factors.keys()
         if primes <= m_primes:
             return self.denominator_primes
         return tuple(sorted(primes | m_primes))

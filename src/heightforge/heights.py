@@ -485,7 +485,7 @@ def canonical_height(
         raise DomainError(f"unknown canonical height method: {method!r}")
     # G can be nonzero only at infinity and the map's bad primes for z, those
     # of M and of den z: everywhere else the orbit stays p-integral
-    places = [INF] + [Place.finite(p) for p in specialized(fam, t).bad_primes(z)]
+    places = [INF] + [Place.finite(p) for p in specialized(fam, t).bad_primes(z.denominator)]
     tol_inf, tol_fin = tol / 2, tol / (2 * max(1, len(places) - 1))
     if tol_fin == 0:  # the smaller share underflowed
         raise DomainError(f"tol {tol!r} is too small to split over {len(places)} places")

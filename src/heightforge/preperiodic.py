@@ -8,14 +8,16 @@ enclosure bounded away from zero.
 
 An orbit stops at its first repeat or at its first point in the escape
 region of some place, so a wandering point's certificate ends at the first
-point that escapes.  The orbit runs on integer pairs (num, den) in lowest
-terms (`SpecializedMap.orbit`), and each point's escape test is integer
-arithmetic on the pair: v_p by division, |z| > R_esc by cross
-multiplication, and no logs.  Every prime dividing den(z_n) divides den(z_0)
-or M, and at any other prime no escape can fire, so one prime set, found
-before the first point, serves every test of the orbit.  Fractions are built
-only for the record an orbit returns, and its naive heights are computed
-from its points when first read.
+point that escapes.  One loop (`_orbit_pairs`) runs every orbit, on integer
+pairs (num, den) in lowest terms (`SpecializedMap.step`), and each point's
+escape test is integer arithmetic on the pair: v_p by division,
+|z| > R_esc by cross multiplication, and no logs.  Every prime dividing
+den(z_n) divides den(z_0) or M, and at any other prime no escape can fire,
+so one prime set, found before the first point, serves every test of the
+orbit.  `iterate_orbit` wraps the loop and builds Fractions only for the
+record it returns, whose naive heights are computed from its points when
+first read; the scanner calls the loop directly and builds a Fraction only
+for a finding or an unresolved point.
 
 Fast filters used by the scanner:
 
@@ -32,9 +34,9 @@ Fast filters used by the scanner:
   are even); testing |x^m + y^m| for an exact d-th power is a pure integer
   computation.
 * twins: when e is even, f_t(-z) = f_t(z), and every escape test at z_0
-  reads only |z|, v_p(z) and den z, so the record of -z is read from that of
-  z with no evaluation and no place test; the candidates come in adjacent
-  pairs z, -z, so the two share one orbit.
+  reads only |z|, v_p(z) and den z, so the event of -z is read from the
+  points of z's orbit with no evaluation and no place test; the candidates
+  come in pairs z, -z, so the two share one orbit.
 * height buckets: floor(h(z)) is the number of integers ceil(e^k), k >= 1,
   at most max(|num z|, den z), since e^k is never an integer; a table of them,
   built once from outward-rounded enclosures of e^k, gives each bucket by
@@ -203,6 +205,55 @@ def _escape_place(
     return None
 
 
+def _orbit_pairs(
+    fmap: SpecializedMap, num: int, den: int, primes: Sequence[int], max_steps: int
+) -> tuple[OrbitEvent, dict[tuple[int, int], int]]:
+    """The exact orbit of z = num / den (in lowest terms, den > 0) under fmap,
+    on integer pairs: (event, seen), `seen` mapping each distinct point
+    (num z_n, den z_n) to n, in orbit order.
+
+    Each point is tested in this order: a repeated value ends the orbit with
+    CycleFound (the repeat itself is not added to `seen`), a point in a
+    certified escape region at some place with EscapeCertified, and the step
+    budget or the bit-size cap with OrbitTruncated.  `primes` must hold the
+    primes of M and of den (`SpecializedMap.bad_primes`): every prime dividing
+    a later denominator divides one of them, so they serve every point."""
+    seen: dict[tuple[int, int], int] = {}
+    step = fmap.step
+    n = 0
+    while True:
+        first = seen.setdefault((num, den), n)
+        if first < n:
+            return CycleFound(first, n - first), seen
+        pl = _escape_place(fmap, num, den, primes)
+        if pl is not None:
+            return EscapeCertified(pl, n), seen
+        if n == max_steps or num.bit_length() + den.bit_length() > _ORBIT_BIT_CAP:
+            return OrbitTruncated(n), seen
+        num, den = step(num, den)
+        n += 1
+
+
+def _twin_event(
+    num: int, den: int, event: OrbitEvent, seen: dict[tuple[int, int], int], max_steps: int
+) -> OrbitEvent:
+    """The event of the orbit of num / den = -z, for a family with even e,
+    read from (event, seen), the orbit of z != 0 under the same budget.
+
+    f_t(-z) = f_t(z), and every test at z_0 reads only |z|, v_p(z) and den z,
+    so the orbit of -z is -z, z_1, z_2, ... under the same tests.  Its event
+    moves only if -z = z_j for some j >= 1 (a cycle through -z at step j), or
+    if z is periodic of period n: then z_n = z is new after -z, and the repeat
+    comes one step later at z_1, unless the budget ends at step n."""
+    j = seen.get((num, den))
+    if j is not None:
+        return CycleFound(0, j)
+    if isinstance(event, CycleFound) and event.preperiod == 0:
+        n = event.period
+        return OrbitTruncated(n) if n == max_steps else CycleFound(1, n)
+    return event
+
+
 def iterate_orbit(fam: Family, t: Fraction, z: Fraction, max_steps: int) -> OrbitRecord:
     """Exact forward orbit of z under f_t until a repeat, a certified escape,
     or the budget.
@@ -213,51 +264,20 @@ def iterate_orbit(fam: Family, t: Fraction, z: Fraction, max_steps: int) -> Orbi
     point, and the step budget or the bit-size cap with OrbitTruncated, an
     event, not an error.  The escape tests share the map's bad primes for z,
     those of M and of den z, found once before the first point.  The orbit
-    runs on integer pairs (num, den); the record's first point is z, and the
-    Fractions of the others are built once it ends.
+    runs on integer pairs (`_orbit_pairs`); the record's first point is z,
+    and the Fractions of the others are built once it ends.
     """
     if max_steps < 1:
         raise DomainError("max_steps must be >= 1")
     if not isinstance(z, Fraction):
         z = Fraction(z)
     fmap = specialized(fam, t)
-    primes = fmap.bad_primes(z)
-    pairs: list[tuple[int, int]] = []
-    for n, (num, den, first) in enumerate(fmap.orbit(z)):
-        pairs.append((num, den))
-        if first < n:
-            event: OrbitEvent = CycleFound(first, n - first)
-            break
-        pl = _escape_place(fmap, num, den, primes)
-        if pl is not None:
-            event = EscapeCertified(pl, n)
-            break
-        if n == max_steps or num.bit_length() + den.bit_length() > _ORBIT_BIT_CAP:
-            event = OrbitTruncated(n)
-            break
+    num, den = z.numerator, z.denominator
+    event, seen = _orbit_pairs(fmap, num, den, fmap.bad_primes(den), max_steps)
+    pairs = list(seen)
+    if isinstance(event, CycleFound):
+        pairs.append(pairs[event.preperiod])
     return OrbitRecord((z, *(Fraction(num, den) for num, den in pairs[1:])), event)
-
-
-def _twin_record(record: OrbitRecord, max_steps: int) -> OrbitRecord:
-    """iterate_orbit(fam, t, -z, max_steps) read from `record`, the one of z
-    != 0 under the same arguments, for a family with even e.
-
-    f_t(-z) = f_t(z), and every test at z_0 reads only |z|, v_p(z) and den z,
-    so the orbit of -z is -z, z_1, z_2, ... under the same tests.  Its event
-    moves only if -z = z_j for some j >= 1 (a cycle through -z at step j), or
-    if z is periodic of period n: then z_n = z is new after -z, and the repeat
-    comes one step later at z_1, unless the budget ends at step n.
-    """
-    points, event = record.points, record.event
-    twin = (-points[0], *points[1:])
-    if twin[0] in points:
-        j = points.index(twin[0])
-        return OrbitRecord(twin[: j + 1], CycleFound(0, j))
-    if isinstance(event, CycleFound) and event.preperiod == 0:
-        if event.period == max_steps:
-            return OrbitRecord(twin, OrbitTruncated(max_steps))
-        return OrbitRecord((*twin, points[1]), CycleFound(1, event.period))
-    return OrbitRecord(twin, event)
 
 
 # ---------------------------------------------------------------------------
@@ -685,11 +705,15 @@ def _scan_one(
     then every candidate z, bucketed by floor(h(z)), as a dict of plain
     values that a worker process can return.
 
-    The candidates go by denominator.  With lim = floor(R_esc den), each
-    +-num/den with num > lim escapes at infinity at step 0, so it is counted
-    per bucket in closed form (`_escape_buckets`).  z = 0 and each num <= lim
-    prime to den get an orbit; for even e the orbit of -z is read from that
-    of z (`_twin_record`), and for odd e it is iterated too."""
+    The map, R_esc and the candidate denominators are found once per
+    parameter, and each den's bad primes once per den.  With
+    lim = floor(R_esc den), each +-num/den with num > lim escapes at infinity
+    at step 0, so it is counted per bucket in closed form (`_escape_buckets`).
+    z = 0 and each num <= lim prime to den get an orbit on integer pairs
+    (`_orbit_pairs`); for even e the event of -z is read from the points of
+    z's orbit (`_twin_event`), and for odd e -z is iterated too.  Both share
+    the bucket of max(num, den), and a Fraction is built only for a finding
+    or an unresolved point."""
     res: dict = {
         "pole": False,
         "criterion": False,
@@ -720,23 +744,25 @@ def _scan_one(
         if rec.forced_valuation is not None
     }
     size, zero, dens = _candidate_denominators(fam, param, z_bound, forced)
-    heights = res["heights"]
-
-    def tally(z: Fraction, record: OrbitRecord) -> None:
-        bucket = bisect_right(_EXP_CEILS, max(abs(z.numerator), z.denominator))
-        heights[bucket] = heights.get(bucket, 0) + 1
-        if isinstance(record.event, CycleFound):
-            res["findings"].append(Finding(t, z, record.event.preperiod, record.event.period))
-        elif isinstance(record.event, OrbitTruncated):
-            res["unresolved"].append((t, z))
-
-    if zero:
-        tally(Fraction(0), iterate_orbit(fam, param, Fraction(0), budget))
     if not dens:
         return res  # no candidate, so no map is built
-    radius = specialized(fam, param).escape_radius
+    fmap = specialized(fam, param)
+    radius = fmap.escape_radius
     twins = fam.e % 2 == 0  # f_t(-z) = f_t(z)
-    for den, primes in dens:
+    heights = res["heights"]
+
+    def verdict(num: int, den: int, event: OrbitEvent) -> None:
+        if isinstance(event, CycleFound):
+            res["findings"].append(
+                Finding(t, Fraction(num, den), event.preperiod, event.period))
+        elif isinstance(event, OrbitTruncated):
+            res["unresolved"].append((t, Fraction(num, den)))
+
+    if zero:
+        verdict(0, 1, _orbit_pairs(fmap, 0, 1, fmap.bad_primes(1), budget)[0])
+        heights[0] = heights.get(0, 0) + 1  # h(0) = 0
+    for den, den_primes in dens:
+        primes = fmap.bad_primes(den)
         # num > lim exactly when |num / den| > R_esc: +-num/den escapes at
         # infinity at step 0, before any budget or bit-cap test, so it is
         # neither a finding nor unresolved and only fills a height bucket
@@ -744,14 +770,16 @@ def _scan_one(
         for num in range(1, min(lim, size) + 1):
             if math.gcd(num, den) != 1:
                 continue
-            z = Fraction(num, den)
-            record = iterate_orbit(fam, param, z, budget)
-            tally(z, record)
+            event, seen = _orbit_pairs(fmap, num, den, primes, budget)
+            verdict(num, den, event)
             if twins:
-                tally(-z, _twin_record(record, budget))
+                event = _twin_event(-num, den, event, seen, budget)
             else:
-                tally(-z, iterate_orbit(fam, param, -z, budget))
-        for bucket, count in _escape_buckets(lim, size, primes):
+                event = _orbit_pairs(fmap, -num, den, primes, budget)[0]
+            verdict(-num, den, event)
+            bucket = bisect_right(_EXP_CEILS, max(num, den))
+            heights[bucket] = heights.get(bucket, 0) + 2
+        for bucket, count in _escape_buckets(lim, size, den_primes):
             heights[bucket] = heights.get(bucket, 0) + 2 * count
     return res
 

@@ -35,6 +35,12 @@ EXAMPLES = {
     "cover": ["cover", "--cover", _fixture("quintic_cover.json"), "--e", "2", "--t", "1"],
     "scan": ["scan", "--family", _fixture("unicritical2.json"), "--t-bound", "1.2",
              "--z-bound", "1.7", "--jobs", "2"],
+    # odd e, so -z gets its own orbit
+    "scan_weighted632": ["scan", "--family", _fixture("weighted632.json"), "--t-bound", "1.7",
+                         "--z-bound", "2.5"],
+    # even e, so -z's event is read from z's orbit
+    "scan_unicritical4": ["scan", "--family", _fixture("unicritical4.json"), "--t-bound", "1.7",
+                          "--z-bound", "2.5"],
 }
 
 

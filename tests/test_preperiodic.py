@@ -103,29 +103,33 @@ def test_orbit_json_shape():
     assert len(js["naiveHeights"]) == 4
 
 
-def test_twin_record_is_the_orbit_of_minus_z():
-    # for even e, -z's record is read from z's: the same tests fire on
-    # -z, z_1, z_2, ..., and only a cycle through -z or a periodic z moves
-    # the event
+def test_twin_event_is_the_orbit_of_minus_z():
+    # for even e, -z's event is read from z's orbit on integer pairs: the
+    # same tests fire on -z, z_1, z_2, ..., and only a cycle through -z or a
+    # periodic z moves the event
     z4t = build_family([1, 1], 4)  # z^4 + t, e = 4
     box = [Fraction(x, y) for y in (1, 2, 3, 4) for x in range(1, 7) if math.gcd(x, y) == 1]
+
+    def twin(fam, t, z, budget):
+        fmap = specialized(fam, t)
+        num, den = z.numerator, z.denominator
+        event, seen = preperiodic._orbit_pairs(fmap, num, den, fmap.bad_primes(den), budget)
+        return preperiodic._twin_event(-num, den, event, seen, budget)
+
     kinds = set()
     for fam, t in itertools.product((Z2T, Z4T2, z4t), (Fraction(-2), Fraction(-1), Fraction(0),
                                                        Fraction(-3, 4), Fraction(1, 16))):
         for z, budget in itertools.product(box, (1, 2, 3, 512)):
-            twin = preperiodic._twin_record(iterate_orbit(fam, t, z, budget), budget)
-            assert twin == iterate_orbit(fam, t, -z, budget), (fam.describe(), t, z, budget)
-            kinds.add(type(twin.event).__name__)
+            event = twin(fam, t, z, budget)
+            assert event == iterate_orbit(fam, t, -z, budget).event, (
+                fam.describe(), t, z, budget)
+            kinds.add(type(event).__name__)
     # the grid reaches every kind of event; the cases below pin the moved ones
     assert kinds == {"CycleFound", "EscapeCertified", "OrbitTruncated"}
-    twin = preperiodic._twin_record(iterate_orbit(Z2T, Fraction(-2), Fraction(2), 512), 512)
-    assert twin.points == (-2, 2, 2) and twin.event == CycleFound(1, 1)  # periodic z
-    twin = preperiodic._twin_record(iterate_orbit(Z2T, Fraction(-2), Fraction(2), 1), 1)
-    assert twin.points == (-2, 2) and twin.event == OrbitTruncated(1)
-    twin = preperiodic._twin_record(iterate_orbit(Z2T, Fraction(-1), Fraction(1), 512), 512)
-    assert twin.points == (-1, 0, -1) and twin.event == CycleFound(0, 2)  # -z = z_2
-    twin = preperiodic._twin_record(iterate_orbit(Z2T, Fraction(-1), Fraction(1, 2), 512), 512)
-    assert twin.points == (Fraction(-1, 2),) and twin.event.step == 0  # escape at z_0
+    assert twin(Z2T, Fraction(-2), Fraction(2), 512) == CycleFound(1, 1)  # periodic z
+    assert twin(Z2T, Fraction(-2), Fraction(2), 1) == OrbitTruncated(1)
+    assert twin(Z2T, Fraction(-1), Fraction(1), 512) == CycleFound(0, 2)  # -z = z_2
+    assert twin(Z2T, Fraction(-1), Fraction(1, 2), 512) == EscapeCertified(Place.finite(2), 0)
 
 
 def _reference_escaped(data, vw):
@@ -243,7 +247,7 @@ def test_orbit_prime_set_finds_the_same_escape_place(fam, t, z):
         # every point is tested, with at most one factoring per orbit
         rec = iterate_orbit(fam, t, z, 5)
         assert len(factored) <= 1
-        primes = fmap.bad_primes(z)
+        primes = fmap.bad_primes(z.denominator)
     finally:
         family.factor_integer = original
     assert primes == tuple(sorted(
@@ -345,6 +349,21 @@ def test_certify_height_interval_witness(monkeypatch):
     js = cert.to_json()  # 120 001-digit orbit points, past Python's int-to-str limit
     assert js["witness"] == "height-interval"
     assert js["orbit"]["points"][1] == "1" + "0" * 60000
+
+
+def test_orbit_loop_stops_at_the_bit_cap(monkeypatch):
+    # with no escape place, the orbit of 0 under z^2 + 10^60000 passes the
+    # 200 000-bit cap at z_2 and is truncated there, well inside its budget;
+    # a scan reports the point unresolved and the report incomplete
+    t = Fraction(10**60000)
+    monkeypatch.setattr(preperiodic, "_escape_place", lambda fmap, num, den, primes: None)
+    fmap = specialized(Z2T, t)
+    event, seen = preperiodic._orbit_pairs(fmap, 0, 1, fmap.bad_primes(1), 4)
+    assert event == OrbitTruncated(2) and len(seen) == 3
+    num, den = list(seen)[-1]
+    assert num.bit_length() + den.bit_length() > preperiodic._ORBIT_BIT_CAP
+    rep = scan(Z2T, 1.0, math.log(2), t_values=[t])
+    assert (t, Fraction(0)) in rep.unresolved and not rep.complete
 
 
 def _orbits_without_escape(monkeypatch):
@@ -784,12 +803,13 @@ def test_scan_matches_per_candidate_iteration(fam, t_values, z_size, budget, cov
                                               monkeypatch):
     z_bound = math.log(z_size)
     calls = []
+    orbit_pairs = preperiodic._orbit_pairs
 
-    def counted(fam, t, z, max_steps):
-        calls.append((t, z))
-        return iterate_orbit(fam, t, z, max_steps)
+    def counted(fmap, num, den, primes, max_steps):
+        calls.append((fmap.t, Fraction(num, den)))
+        return orbit_pairs(fmap, num, den, primes, max_steps)
 
-    monkeypatch.setattr(preperiodic, "iterate_orbit", counted)
+    monkeypatch.setattr(preperiodic, "_orbit_pairs", counted)
     rep = scan(fam, 1.0, z_bound, t_values=t_values, budget=budget, cover=cover)
     monkeypatch.undo()
     findings, unresolved, counts, checked, iterated = _scan_by_candidate(
@@ -800,6 +820,36 @@ def test_scan_matches_per_candidate_iteration(fam, t_values, z_size, budget, cov
     assert list(rep.unresolved) == unresolved
     assert rep.counts_by_height == counts
     assert rep.candidates_checked == checked > 0
+
+
+_DIFFERENTIAL_FAMILIES = (Z2T, Z3T, Z4T2, build_family([1, 1], 4),
+                          build_family([1, -3, 1], 3))  # e = 2, 3, 2, 4, 3
+
+
+@st.composite
+def _scan_case(draw):
+    """A family, a parameter, a z-box size and a budget.  den t is a
+    c^k part (forced when e | k, obstructed otherwise) times a small m that
+    may meet the exceptional primes 2 and 3."""
+    fam = draw(st.sampled_from(_DIFFERENTIAL_FAMILIES))
+    c = draw(st.sampled_from([1, 2, 3, 5]))
+    k = draw(st.sampled_from([fam.e, fam.e, 1]))
+    m = draw(st.sampled_from([1, 1, 2, 3, 4, 8, 16]))
+    t = Fraction(draw(st.integers(-30, 30)), m * c**k)
+    return fam, t, draw(st.integers(2, 40)), draw(st.sampled_from([1, 2, 3, 512]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_scan_case())
+def test_scan_matches_the_per_candidate_reference(case):
+    fam, t, z_size, budget = case
+    z_bound = math.log(z_size)
+    rep = scan(fam, 1.0, z_bound, t_values=[t], budget=budget)
+    findings, unresolved, counts, checked, _ = _scan_by_candidate(fam, [t], z_bound, budget)
+    assert [(f.t, f.z, f.preperiod, f.period) for f in rep.findings] == findings
+    assert list(rep.unresolved) == unresolved
+    assert rep.counts_by_height == counts
+    assert rep.candidates_checked == checked
 
 
 def test_scan_skips_the_cover_pole():
