@@ -185,6 +185,8 @@ def build_family(coeffs: Sequence[Fraction | int | str], e: int) -> Family:
     """Validate and build a family from a_D, ..., a_0 (leading first)."""
     if not isinstance(e, int) or e < 2:
         raise SpecError(f"weight e must be an integer >= 2, got {e!r}")
+    if not isinstance(coeffs, (list, tuple)):  # a string or a dict would be iterated
+        raise SpecError(f"F must be an array of coefficients, got {type(coeffs).__name__}")
     form = tuple(parse_rational(c) for c in coeffs)
     if len(form) < 2:
         raise SpecError("F must have degree >= 1 in X")
@@ -226,7 +228,11 @@ class _FiniteGreenData:
         # upper-bound constant in valuation units
         self.c_up = max([0] + [-v for _, v in terms])
 
-    def escape_value(self, vw: int, n: int) -> LocalValue:
+    def escape_value(self, vw: Optional[int], n: int) -> LocalValue:
+        """G_p(z) = d^-n (-vw - v(b_D)/(d-1)) log p, given v(z_n) = vw in the
+        escape region, the only place where the closed form holds."""
+        if not self.escapes(vw):
+            raise AssertionError(f"v = {vw} is outside the escape region at {self.p}")
         coeff = (Fraction(-vw) - Fraction(self.v_lead, self.d - 1)) / self.d**n
         return LocalValue.exact(coeff, self.p)
 
@@ -500,8 +506,11 @@ def analyze_cover(
     multiplicity); the map has a pole at infinity of order
     deg numer - deg denom when that difference is positive.
     """
-    nu = _polys.poly(list(numer))
-    de = _polys.poly(list(denom))
+    for name, coeffs in (("numer", numer), ("denom", denom)):
+        if not isinstance(coeffs, (list, tuple)):
+            raise SpecError(f"{name} must be an array, got {type(coeffs).__name__}")
+    nu = _polys.poly(numer)
+    de = _polys.poly(denom)
     if not de:
         raise SpecError("zero denominator polynomial")
     if not nu:

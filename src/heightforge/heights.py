@@ -35,8 +35,12 @@ Every algorithm below is generic in the coefficients (monic is not assumed):
 * archimedean, bounded: log+|f(w)| <= d log+|w| + C with
   C = log max(1, sum|b_j|), giving the same geometric interval exit.
 
-At finite places the orbit is read from `SpecializedMap.orbit`, the one
-exact orbit of the package (with its repeat detection), as integer pairs
+At finite places the orbit is read from `SpecializedMap.orbit`, the lazy
+exact orbit with repeat detection that this loop and the global height
+method share (certificates and scans run `preperiodic._orbit_pairs`, their
+own loop over `SpecializedMap.step`, since most scan orbits end within a
+step and a generator's set-up per orbit would cost `scan` much of its
+throughput).  The Green loop reads the orbit as integer pairs
 (num z_n, den z_n) while they stay small: v_p(z_n) is read by dividing den
 (or num when p does not divide den) and the size from their bit lengths, and
 one Fraction is built when the orbit is carried on in windowed p-adic
@@ -124,7 +128,6 @@ from .arith import (
     log_plus,
     naive_height,
     padic_valuation,
-    vp_or_none,
     vp_pair,
 )
 from .errors import BudgetExceeded, DomainError, PrecisionLoss
@@ -276,19 +279,20 @@ def _finite_green(
 
     # phase 1: the exact orbit, until a point outgrows _EXACT_BITS
     for n, (num, den, first) in enumerate(fmap.orbit(z)):
-        res = exit_at(vp_pair(num, den, p), n, repeat=first < n)
+        vw = vp_pair(num, den, p)
+        res = exit_at(vw, n, repeat=first < n)
         if res is not None:
             return res
         if num.bit_length() + den.bit_length() > _EXACT_BITS:
             break
 
-    # phase 2: windowed p-adic orbit from z_n, restarting with more digits on loss
+    # phase 2: windowed p-adic orbit from z_n != 0, restarting with more digits on loss
     w = Fraction(num, den)
     rel = _REL_PREC0
     for _ in range(_MAX_RESTARTS):
         try:
-            x = PAdic.from_fraction(w, p, vp_or_none(w, p) + rel)
-            b_p = [PAdic.from_fraction(c, p, (vp_or_none(c, p) or 0) + rel) for c in b]
+            x = PAdic.from_fraction(w, p, vw + rel)
+            b_p = [PAdic.from_fraction(c, p, (v or 0) + rel) for c, v in zip(b, data.vb)]
             for m in itertools.count(n):
                 if x.is_zeroish and not data.in_disk(x.abs_prec):
                     raise PrecisionLoss("zeroish value below disk threshold")

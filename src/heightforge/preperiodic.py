@@ -69,7 +69,6 @@ from .arith import (
     factor_integer,
     format_rational,
     integer_root,
-    vp_or_none,
     vp_pair,
 )
 from .constants import exceptional_places
@@ -313,27 +312,37 @@ class Certificate:
             out["period"] = self.period
         else:
             out["hhatLowerBound"] = self.hhat_lower_bound
-            out["witness"] = (
-                self.witness if isinstance(self.witness, str) else str(self.witness)
-            )
+            out["witness"] = str(self.witness)
         out["orbit"] = self.orbit.to_json()
         return out
 
 
-def _positive_green_bound(
-    fam: Family, t: Fraction, place: Place, z: Fraction
-) -> float:
-    """A certified positive lower bound for G_place(z), given that the orbit
-    escapes at `place`; the tolerance is quartered until the enclosure clears
-    0.  It serves archimedean witnesses only: a finite witness's bound is
-    read in closed form at the first escaping point (`certify_point`)."""
+def _positive_green_bound(fam: Family, t: Fraction, z: Fraction) -> float:
+    """A certified positive lower bound for G_inf(z), given that the orbit
+    escapes at infinity; the tolerance is quartered until the enclosure
+    clears 0."""
     tol = 1e-6
     for _ in range(80):
-        enc = local_green(fam, t, place, z, tol=tol).enclosure()
+        enc = local_green(fam, t, INF, z, tol=tol).enclosure()
         if enc.lo > 0:
             return enc.lo
         tol /= 4
     raise BudgetExceeded("could not separate the escape-place Green value from 0")
+
+
+def _escape_certificate(
+    fam: Family, t: Fraction, record: OrbitRecord, place: Place, n: int
+) -> Certificate:
+    """The wandering certificate of z = record.points[0], given that
+    z_n = record.points[n] escapes at `place`: hhat(z) >= G_place(z) > 0, read
+    in closed form at z_n for a finite place, from the Green loop at infinity."""
+    if place.is_archimedean:
+        bound = _positive_green_bound(fam, t, record.points[0])
+    else:
+        w = record.points[n]
+        vw = vp_pair(w.numerator, w.denominator, place.prime)
+        bound = specialized(fam, t).green_data(place.prime).escape_value(vw, n).enclosure().lo
+    return Certificate("wandering", record, hhat_lower_bound=bound, witness=place)
 
 
 def certify_point(fam: Family, t: Fraction, z: Fraction) -> Certificate:
@@ -342,9 +351,8 @@ def certify_point(fam: Family, t: Fraction, z: Fraction) -> Certificate:
     Alternates orbit extension with canonical-height tolerance halving:
     preperiodic rationals repeat in finitely many exact steps, and wandering
     rationals either enter a certified escape region at some place or get a
-    canonical-height enclosure with positive lower end.  A finite escape
-    place's bound is G_p(z) in closed form at the first escaping point; an
-    archimedean one comes from the Green loop.
+    canonical-height enclosure with positive lower end.  An obstructed
+    place's witness and an orbit's are both read by `_escape_certificate`.
     """
     t, z = Fraction(t), Fraction(z)
     if fam.monic:
@@ -354,24 +362,14 @@ def certify_point(fam: Family, t: Fraction, z: Fraction) -> Certificate:
                 # divide v(t), so v(z) != v(t)/e: either v(z) < theta_p and z
                 # escapes, or v(z) > v(t)/e, the constant term a_0 t^D
                 # dominates and v(f(z)) = D v(t) < theta_p.  So z or f(z) lies
-                # in the escape region and G_p(z) > 0 is read in closed form.
-                # The record is the one step z, f(z), with no prime set found
-                fmap = specialized(fam, t)
-                data = fmap.green_data(rec.place.prime)
+                # in the escape region.  The record is the one step z, f(z),
+                # with no prime set found
+                fmap, p = specialized(fam, t), rec.place.prime
                 record = OrbitRecord((z, fmap(z)), OrbitTruncated(1))
-                for n, w in enumerate(record.points):
-                    vw = vp_or_none(w, data.p)
-                    if data.escapes(vw):
-                        break
-                else:
-                    raise AssertionError(f"neither z nor f(z) escapes at obstructed {data.p}")
-                bound = data.escape_value(vw, n).enclosure().lo
-                return Certificate(
-                    "wandering", record, hhat_lower_bound=bound, witness=rec.place
-                )
+                z_escapes = fmap.green_data(p).escapes(vp_pair(z.numerator, z.denominator, p))
+                return _escape_certificate(fam, t, record, rec.place, 0 if z_escapes else 1)
     steps = 32
     tol = 1e-4
-    record = None
     for _ in range(24):
         record = iterate_orbit(fam, t, z, steps)
         if isinstance(record.event, CycleFound):
@@ -382,16 +380,8 @@ def certify_point(fam: Family, t: Fraction, z: Fraction) -> Certificate:
                 period=record.event.period,
             )
         if isinstance(record.event, EscapeCertified):
-            # the orbit ends at its first escaping point z_n, n = step, so a
-            # finite witness p reads G_p(z) in closed form there
-            place, n = record.event.place, record.event.step
-            if place.is_archimedean:
-                bound = _positive_green_bound(fam, t, place, z)
-            else:
-                data = specialized(fam, t).green_data(place.prime)
-                vw = vp_or_none(record.points[n], place.prime)
-                bound = data.escape_value(vw, n).enclosure().lo
-            return Certificate("wandering", record, hhat_lower_bound=bound, witness=place)
+            # the orbit ends at its first escaping point z_n, n = step
+            return _escape_certificate(fam, t, record, record.event.place, record.event.step)
         enc = canonical_height(fam, t, z, tol)
         if enc.lo > 0:
             return Certificate(
@@ -605,16 +595,12 @@ def _rationals_in_box(bound: float) -> list[Fraction]:
     size = _box_size(bound)
     if 12 / math.pi**2 * size**2 > _MAX_BOX_PARAMETERS:
         raise DomainError(f"t-box of height {bound} exceeds {_MAX_BOX_PARAMETERS} parameters")
-    return sorted([Fraction(0), *_plus_minus(range(1, size + 1), size)])
-
-
-def _plus_minus(dens: Iterable[int], size: int) -> Iterator[Fraction]:
-    """+-num/den in lowest terms for each den in turn and 1 <= num <= size."""
-    for den in dens:
+    fracs = [Fraction(0)]
+    for den in range(1, size + 1):
         for num in range(1, size + 1):
             if math.gcd(num, den) == 1:
-                yield Fraction(num, den)
-                yield Fraction(-num, den)
+                fracs += (Fraction(num, den), Fraction(-num, den))
+    return sorted(fracs)
 
 
 def _candidate_denominators(

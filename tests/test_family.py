@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from heightforge import _polys as P
 from heightforge import family
+from heightforge.arith import LocalValue
 from heightforge.errors import DomainError, NormalizationUnavailable, SpecError
 from heightforge.family import (
     Family,
@@ -57,7 +58,9 @@ def test_family_json_roundtrip():
     # e is an integer or an integer string; JSON floats and booleans are refused
     assert Family.from_json({"e": "3", "F": [1, "1"]}) == build_family([1, 1], 3)
     for bad in ({"e": 2.7, "F": [1, 1]}, {"e": 2.0, "F": [1, 1]},
-                {"e": True, "F": [1, 1]}, {"e": 2, "F": [True, "1"]}):
+                {"e": True, "F": [1, 1]}, {"e": 2, "F": [True, "1"]},
+                # F is an array: a string or an object would be iterated
+                {"e": 2, "F": "11"}, {"e": 2, "F": {"1": 0, "2": 0}}, {"e": 2, "F": 5}):
         with pytest.raises(SpecError):
             Family.from_json(bad)
 
@@ -156,6 +159,19 @@ def test_specialized_map(monkeypatch):
         points.append(Fraction(num, den))
     assert calls[-1] == (points[-2].numerator, points[-2].denominator)
     assert points[-1] == P.evaluate(specialize(z2, Fraction(-1)), points[-2])
+
+
+def test_escape_value_holds_only_in_the_escape_region():
+    # z^4/2 - 3 t z^2 + 2 t^2/9 at t = 3/4 and p = 2: b = (1/8, -9/4, 1/2) and
+    # theta_2 = -1/2, so z_n escapes when v(z_n) <= -1, and then
+    # G_2(z) = 4^-n (-v(z_n) + 1/3) log 2
+    data = specialized(build_family(["1/2", "-3", "2/9"], 2), Fraction(3, 4)).green_data(2)
+    assert data.theta == Fraction(-1, 2)
+    assert data.escape_value(-1, 1) == LocalValue.exact(Fraction(1, 3), 2)
+    # anywhere else the closed form does not hold, so it is refused
+    for vw in (0, 5, None):
+        with pytest.raises(AssertionError, match="outside the escape region"):
+            data.escape_value(vw, 1)
 
 
 # a_0 with square prime factors: 12 = 2^2 3, 45/4 = 3^2 5 / 2^2, 1/50 = 1/(2 5^2)
@@ -337,6 +353,10 @@ def test_cover_validation():
         analyze_cover([1], [0])  # zero denominator
     with pytest.raises(SpecError):
         analyze_cover([0], [1, 1])  # zero map
+    # numer and denom are arrays: "1001" would be iterated as 1 + t^3
+    for numer, denom in (([1], "1001"), (1, [1, 1]), ({"1": 0}, [0, 1])):
+        with pytest.raises(SpecError, match="must be an array"):
+            analyze_cover(numer, denom)
 
 
 def test_cover_evaluation():
