@@ -204,11 +204,13 @@ def _cmd_scan(args) -> dict:
         cover=cover,
         t_values=t_values,
         budget=args.budget,
-        jobs=args.jobs,
         use_criterion=not args.no_criterion,
     )
     if args.csv:
-        report.write_csv(args.csv)
+        try:
+            report.write_csv(args.csv)
+        except OSError as exc:
+            raise _UsageError(f"cannot write CSV file {args.csv!r}: {exc}") from exc
     return report.to_json()
 
 
@@ -305,7 +307,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--cover")
     p.add_argument("--t", action="append")
     p.add_argument("--budget", type=int, default=512)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--csv")
     p.add_argument("--no-criterion", action="store_true")
 

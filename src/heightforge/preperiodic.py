@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -686,10 +685,15 @@ def _scan_one(
     budget: int,
     cover: Optional[CoverAnalysis],
     criterion: Optional[tuple[int, int]],
-) -> dict:
+    findings: list[Finding],
+    unresolved: list[tuple[Fraction, Fraction]],
+    heights: dict[int, int],
+) -> Optional[str]:
     """One parameter of a scan: the cover, criterion and obstruction filters,
-    then every candidate z, bucketed by floor(h(z)), as a dict of plain
-    values that a worker process can return.
+    then every candidate z, with its findings and unresolved points appended
+    to the scan's lists and its floor(h(z)) buckets counted in `heights`.
+    Returns the filter that removed t ("pole", "criterion" or "obstructed"),
+    or None when its candidates were examined.
 
     The map, R_esc and the candidate denominators are found once per
     parameter, and each den's bad primes once per den.  With
@@ -700,30 +704,19 @@ def _scan_one(
     z's orbit (`_twin_event`), and for odd e -z is iterated too.  Both share
     the bucket of max(num, den), and a Fraction is built only for a finding
     or an unresolved point."""
-    res: dict = {
-        "pole": False,
-        "criterion": False,
-        "obstructed": False,
-        "findings": [],
-        "unresolved": [],
-        "heights": {},
-    }
     if cover is not None:
         try:
             param = evaluate_cover(cover, t)
         except DomainError:  # t is a pole of the cover
-            res["pole"] = True
-            return res
+            return "pole"
         if criterion is not None and t != 0:
             if not power_criterion(criterion[0], criterion[1], t).solvable:
-                res["criterion"] = True
-                return res
+                return "criterion"
     else:
         param = t
     obstructions = bad_place_obstruction(fam, param)
     if any(rec.obstructed for rec in obstructions):
-        res["obstructed"] = True
-        return res
+        return "obstructed"
     forced = {
         rec.place.prime: rec.forced_valuation
         for rec in obstructions
@@ -731,18 +724,16 @@ def _scan_one(
     }
     size, zero, dens = _candidate_denominators(fam, param, z_bound, forced)
     if not dens:
-        return res  # no candidate, so no map is built
+        return None  # no candidate, so no map is built
     fmap = specialized(fam, param)
     radius = fmap.escape_radius
     twins = fam.e % 2 == 0  # f_t(-z) = f_t(z)
-    heights = res["heights"]
 
     def verdict(num: int, den: int, event: OrbitEvent) -> None:
         if isinstance(event, CycleFound):
-            res["findings"].append(
-                Finding(t, Fraction(num, den), event.preperiod, event.period))
+            findings.append(Finding(t, Fraction(num, den), event.preperiod, event.period))
         elif isinstance(event, OrbitTruncated):
-            res["unresolved"].append((t, Fraction(num, den)))
+            unresolved.append((t, Fraction(num, den)))
 
     if zero:
         verdict(0, 1, _orbit_pairs(fmap, 0, 1, fmap.bad_primes(1), budget)[0])
@@ -767,11 +758,7 @@ def _scan_one(
             heights[bucket] = heights.get(bucket, 0) + 2
         for bucket, count in _escape_buckets(lim, size, den_primes):
             heights[bucket] = heights.get(bucket, 0) + 2 * count
-    return res
-
-
-def _scan_worker(payload: tuple) -> dict:
-    return _scan_one(*payload)
+    return None
 
 
 def scan(
@@ -782,7 +769,6 @@ def scan(
     cover: Optional[CoverAnalysis] = None,
     t_values: Optional[Sequence[Fraction]] = None,
     budget: int = 512,
-    jobs: int = 1,
     use_criterion: bool = True,
 ) -> ScanReport:
     """Enumerate the (t, z) box, filter, and certify survivors.
@@ -793,12 +779,10 @@ def scan(
     proven regime and `use_criterion` is set.  Preperiodic findings carry
     (preperiod, period) and replay under certify_point; parameters whose
     orbits exhaust the per-point budget are reported as unresolved and mark
-    the report incomplete.
+    the report incomplete.  Both bounds must be positive and finite.
     """
-    if t_height_bound <= 0 or z_height_bound <= 0:
-        raise DomainError("scan bounds must be positive")
-    if jobs < 1:
-        raise DomainError("jobs must be >= 1")
+    if not (0 < t_height_bound < math.inf and 0 < z_height_bound < math.inf):  # also refuses NaN
+        raise DomainError("scan bounds must be positive and finite")
     if budget < 1:
         raise DomainError("budget must be >= 1")
     if not fam.monic:
@@ -810,34 +794,13 @@ def scan(
         else _rationals_in_box(t_height_bound)
     )
     criterion = _criterion_shape(fam, cover) if use_criterion else None
-
-    results: list[dict]
-    # os.cpu_count() reads the OS on each call, so a serial scan skips it
-    workers = 1 if jobs == 1 else min(jobs, os.cpu_count() or 1, len(ts))
-    if workers > 1:
-        # imported here, so that only a parallel scan loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        payloads = [(fam, t, z_height_bound, budget, cover, criterion) for t in ts]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_worker, payloads, chunksize=8))
-    else:
-        results = [
-            _scan_one(fam, t, z_height_bound, budget, cover, criterion) for t in ts
-        ]
-
     findings: list[Finding] = []
     unresolved: list[tuple[Fraction, Fraction]] = []
     counts: dict[int, int] = {}
-    n_crit = n_obstructed = n_pole = 0
-    for res in results:
-        n_pole += res["pole"]
-        n_crit += res["criterion"]
-        n_obstructed += res["obstructed"]
-        findings.extend(res["findings"])
-        unresolved.extend(res["unresolved"])
-        for bucket, count in res["heights"].items():
-            counts[bucket] = counts.get(bucket, 0) + count
+    removed = [
+        _scan_one(fam, t, z_height_bound, budget, cover, criterion, findings, unresolved, counts)
+        for t in ts
+    ]
     findings.sort(key=lambda f: (f.t, f.z))
     unresolved.sort()
     return ScanReport(
@@ -849,9 +812,9 @@ def scan(
         elapsed=time.monotonic() - start,
         complete=not unresolved,
         t_examined=len(ts),
-        t_filtered_criterion=n_crit,
-        t_obstructed=n_obstructed,
-        t_skipped_pole=n_pole,
+        t_filtered_criterion=removed.count("criterion"),
+        t_obstructed=removed.count("obstructed"),
+        t_skipped_pole=removed.count("pole"),
         candidates_checked=sum(counts.values()),  # each candidate lands in one bucket
         unresolved=tuple(unresolved),
     )

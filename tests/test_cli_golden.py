@@ -34,7 +34,7 @@ EXAMPLES = {
     "criterion": ["criterion", "--d", "2", "--m", "4", "--t", "1"],
     "cover": ["cover", "--cover", _fixture("quintic_cover.json"), "--e", "2", "--t", "1"],
     "scan": ["scan", "--family", _fixture("unicritical2.json"), "--t-bound", "1.2",
-             "--z-bound", "1.7", "--jobs", "2"],
+             "--z-bound", "1.7"],
     # odd e, so -z gets its own orbit
     "scan_weighted632": ["scan", "--family", _fixture("weighted632.json"), "--t-bound", "1.7",
                          "--z-bound", "2.5"],

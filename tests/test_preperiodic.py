@@ -1,5 +1,4 @@
 """Orbits, certificates, obstruction filters, criterion, and scans."""
-import concurrent.futures
 import itertools
 import json
 import math
@@ -918,15 +917,6 @@ def test_scan_budget_marks_incomplete():
     assert not rep.complete and rep.unresolved
 
 
-def test_scan_parallel_determinism():
-    cov4 = analyze_cover([1], [1, 0, 0, 0, 1])
-    seq = scan(Z2T, math.log(3), math.log(4), cover=cov4, jobs=1)
-    par = scan(Z2T, math.log(3), math.log(4), cover=cov4, jobs=2)
-    assert seq.findings == par.findings
-    assert seq.candidates_checked == par.candidates_checked
-    assert seq.counts_by_height == par.counts_by_height
-
-
 def test_scan_report_json_and_csv(tmp_path):
     rep = scan(Z2T, 1.0, 1.0, t_values=[Fraction(-1)])
     js = rep.to_json()
@@ -951,44 +941,20 @@ def test_scan_rejects_bad_input():
         scan(Z2T, 30.0, 1.0)  # about 1e26 parameters: refused before building
     with pytest.raises(DomainError):
         scan(Z2T, 0.5, 30.0, t_values=[Fraction(0)])  # about 1e13 candidates
-    for jobs in (0, -1):
-        with pytest.raises(DomainError):
-            scan(Z2T, 0.8, 0.8, t_values=[Fraction(1)], jobs=jobs)
+    # non-finite bounds are refused even where no box is enumerated: 1/3 is
+    # obstructed, and t_values replaces the t-box
+    for bad in (math.nan, math.inf, -math.inf):
+        for bounds in ((0.8, bad), (bad, 0.8)):
+            with pytest.raises(DomainError):
+                scan(Z2T, *bounds, t_values=[Fraction(1, 3)])
+            with pytest.raises(DomainError):
+                scan(Z2T, *bounds, t_values=[Fraction(1)])
+    with pytest.raises(TypeError):  # scans run in one process
+        scan(Z2T, 0.8, 0.8, t_values=[Fraction(1)], jobs=1)
     # refused before any parameter is looked at, obstructed (1/3) or not
     for t in (Fraction(1, 3), Fraction(-2)):
         with pytest.raises(DomainError):
             scan(Z2T, 0.8, 0.8, t_values=[t], budget=0)
-
-
-def test_scan_caps_its_workers(monkeypatch):
-    started = []
-
-    class InlinePool:
-        """Records the worker count asked for and runs the work in-process."""
-
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    ts = [Fraction(-1), Fraction(0), Fraction(1)]
-    serial = scan(Z2T, 1.0, 1.0, t_values=ts)
-    for cpus, expected in ((64, 3), (2, 2)):
-        monkeypatch.setattr(preperiodic.os, "cpu_count", lambda: cpus)
-        rep = scan(Z2T, 1.0, 1.0, t_values=ts, jobs=10**6)
-        assert started.pop() == expected  # min(jobs, CPUs, parameters)
-        assert rep.findings == serial.findings
-    monkeypatch.setattr(preperiodic.os, "cpu_count", lambda: None)
-    scan(Z2T, 1.0, 1.0, t_values=ts, jobs=10**6)  # one CPU: runs serially
-    assert started == []
 
 
 def test_boxes_reach_their_bound():
