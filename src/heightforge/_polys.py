@@ -2,12 +2,15 @@
 
 Coefficient lists are constant-term first throughout the package (matching
 the cover-spec JSON convention).  Everything here is exact arithmetic:
-Fraction ring operations, denominator clearing on integers, and resultants as
-Sylvester determinants, which the package only takes of small polynomials (a
-cover's numerator and denominator).  sympy factors over Q (degree 2 and up)
-and takes discriminants (of the radical of F(X, 1)); it is imported on the
-first such call, not with the package, as no height, Green's function or
-orbit needs it.
+Fraction ring operations, division with remainder and monic gcds,
+denominator clearing on integers, and resultants as Sylvester determinants,
+which the package only takes of small polynomials (a cover's numerator and
+denominator, the radical of F(X, 1) and its derivative).  Discriminants come
+from those resultants, and the radical of F(X, 1) and its greatest root
+multiplicity from gcds with derivatives (Yun 1976), so no family constant at
+a finite place factors anything.  sympy factors over Q (degree 2 and up): the
+archimedean root bound of F(X, 1) and covers need it, and it is imported on
+the first such call, not with the package.
 """
 from __future__ import annotations
 
@@ -58,20 +61,50 @@ def scale(f: Coeffs, r: Fraction) -> Coeffs:
     return poly([c * r for c in f])
 
 
+def derivative(f: Coeffs) -> Coeffs:
+    return poly([i * c for i, c in enumerate(f)][1:])
+
+
+def divmod_poly(f: Coeffs, g: Coeffs) -> tuple[Coeffs, Coeffs]:
+    """(q, r) with f = q g + r and deg r < deg g, for g != 0."""
+    if not g:
+        raise DomainError("polynomial division by zero")
+    rem, n = list(f), degree(g)
+    quo = [Fraction(0)] * max(0, len(f) - n)
+    inv = 1 / g[-1]
+    for i in range(len(f) - 1, n - 1, -1):
+        c = quo[i - n] = rem[i] * inv
+        if c:
+            for j, b in enumerate(g):
+                rem[i - n + j] -= c * b
+    return poly(quo), poly(rem[:n])
+
+
+def exact_div(f: Coeffs, g: Coeffs) -> Coeffs:
+    """f / g, for g dividing f."""
+    quo, rem = divmod_poly(f, g)
+    if rem:
+        raise DomainError("polynomial division leaves a remainder")
+    return quo
+
+
+def monic(f: Coeffs) -> Coeffs:
+    return scale(f, 1 / f[-1])
+
+
+def gcd(f: Coeffs, g: Coeffs) -> Coeffs:
+    """The monic gcd of f and g by Euclid's algorithm; gcd(0, 0) = 0."""
+    while g:
+        f, g = g, divmod_poly(f, g)[1]
+    return monic(f) if f else ()
+
+
 def clear_denominators(f: Coeffs) -> tuple[tuple[int, ...], int]:
     """Return (m*f, m) with m the least positive integer making m*f integral,
     the coefficients of m*f as ints: num c * (m // den c), with no rational
     arithmetic."""
     m = math.lcm(*(c.denominator for c in f))
     return tuple(c.numerator * (m // c.denominator) for c in f), m
-
-
-def _sympy_poly(f: Coeffs):
-    """f as a sympy Poly in x, importing sympy on the first call."""
-    import sympy
-
-    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f)],
-                      sympy.Symbol("x"))
 
 
 def factor_over_q(f: Coeffs) -> tuple[Fraction, list[tuple[Coeffs, int]]]:
@@ -90,7 +123,10 @@ def factor_over_q(f: Coeffs) -> tuple[Fraction, list[tuple[Coeffs, int]]]:
         (b, a), m = clear_denominators(f)
         g = math.gcd(a, b) if a > 0 else -math.gcd(a, b)
         return Fraction(g, m), [((Fraction(b // g), Fraction(a // g)), 1)]
-    content, factors = _sympy_poly(f).factor_list()
+    import sympy
+
+    content, factors = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                                   for c in reversed(f)], sympy.Symbol("x")).factor_list()
     out = []
     for fac, mult in factors:
         cs = [Fraction(c.p, c.q) for c in reversed(fac.all_coeffs())]
@@ -101,11 +137,11 @@ def factor_over_q(f: Coeffs) -> tuple[Fraction, list[tuple[Coeffs, int]]]:
 
 
 def discriminant(f: Coeffs) -> Fraction:
-    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lead(f), taken by sympy."""
-    if degree(f) < 1:
+    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lead(f)."""
+    n = degree(f)
+    if n < 1:
         raise DomainError("discriminant needs degree >= 1")
-    disc = _sympy_poly(f).discriminant()
-    return Fraction(disc.p, disc.q)
+    return (-1) ** (n * (n - 1) // 2) * resultant(f, derivative(f)) / f[-1]
 
 
 # ---------------------------------------------------------------------------

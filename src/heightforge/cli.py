@@ -193,7 +193,29 @@ def _cmd_cover(args) -> dict:
     return out
 
 
+def _check_csv_path(path: str) -> None:
+    """Refuse a --csv path that cannot be written before the scan runs, and
+    without opening it, so a scan that then fails neither truncates an
+    existing file nor creates one."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        problem = "it is a directory"
+    elif os.path.exists(path):
+        if os.access(path, os.W_OK):
+            return
+        problem = "it is not writable"
+    elif not os.path.isdir(parent):
+        problem = f"{parent!r} is not a directory"
+    elif not os.access(parent, os.W_OK | os.X_OK):
+        problem = f"{parent!r} is not writable"
+    else:
+        return
+    raise _UsageError(f"cannot write CSV file {path!r}: {problem}")
+
+
 def _cmd_scan(args) -> dict:
+    if args.csv:
+        _check_csv_path(args.csv)
     fam = _load_family(args.family)
     cover = _load_cover(args.cover) if args.cover else None
     t_values = [parse_rational(s) for s in args.t] if args.t else None
@@ -209,7 +231,7 @@ def _cmd_scan(args) -> dict:
     if args.csv:
         try:
             report.write_csv(args.csv)
-        except OSError as exc:
+        except OSError as exc:  # the path changed during the scan
             raise _UsageError(f"cannot write CSV file {args.csv!r}: {exc}") from exc
     return report.to_json()
 
@@ -307,7 +329,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--cover")
     p.add_argument("--t", action="append")
     p.add_argument("--budget", type=int, default=512)
-    p.add_argument("--csv")
+    p.add_argument("--csv", help="also write the findings to this CSV file; a path that "
+                   "cannot be written exits 1 before the scan, and the file is "
+                   "written only after the scan succeeds")
     p.add_argument("--no-criterion", action="store_true")
 
     add("repro", _cmd_repro, "run the reproduction battery")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import wraps
 from typing import Mapping, Optional
 
 from . import _polys
@@ -73,6 +73,22 @@ def log2_at(place: Place) -> LogSum:
     return LogSum.zero()
 
 
+def _on_family(build):
+    """Cache build(fam, *args) on the family itself, so each value lives as
+    long as its family and no module-level cache keeps families alive."""
+    key = f"constants.{build.__name__}"
+
+    @wraps(build)
+    def cached(fam: Family, *args):
+        try:
+            return fam.__dict__[key][args]
+        except KeyError:
+            value = fam.__dict__.setdefault(key, {})[args] = build(fam, *args)
+            return value
+
+    return cached
+
+
 def _require_monic(fam: Family, what: str) -> None:
     if not fam.monic:
         raise DomainError(
@@ -86,7 +102,14 @@ def _require_monic(fam: Family, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@_on_family
+def _a_finite(fam: Family) -> dict[int, Fraction]:
+    """𝔞's finite part {p: (1/e) max_i |v_p(beta_i)|}, nonzero entries only:
+    root valuations alone, so nothing is factored."""
+    return {p: amax / fam.e for p in fam.coefficient_support if (amax := fam.amax(p))}
+
+
+@_on_family
 def mk_a(fam: Family) -> MKConstants:
     """Escape-threshold constant 𝔞: once log|z|_v exceeds
     (1/e) log+ |t|_v + 𝔞_v, the map does not contract at v.
@@ -97,11 +120,9 @@ def mk_a(fam: Family) -> MKConstants:
     Archimedean place: (1/e) (log+ B + log 3) with B the certified root bound.
     """
     _require_monic(fam, "mk_a")
-    e = fam.e
-    finite = {p: amax / e for p in fam.coefficient_support if (amax := fam.amax(p))}
     b_plus = max(Fraction(1), fam.arch_root_bound)
-    arch = log_rational_exact(3 * b_plus).scale(Fraction(1, e))
-    return MKConstants(finite, arch)
+    arch = log_rational_exact(3 * b_plus).scale(Fraction(1, fam.e))
+    return MKConstants(_a_finite(fam), arch)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +130,7 @@ def mk_a(fam: Family) -> MKConstants:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@_on_family
 def mk_b(fam: Family) -> MKConstants:
     """Iteration-tail constant 𝔟: bounds |d^{-n} log|f^n(z)| - log|z|| for
     points above the escape threshold.  Zero at every finite place; at the
@@ -127,7 +148,7 @@ def mk_b(fam: Family) -> MKConstants:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@_on_family
 def mk_mvt(fam: Family) -> MKConstants:
     """Nearest-root constant 𝔢 with
         log|f_1(z)|_v >= min_{i, zeta^e = beta_i} alpha_i log|z - zeta|_v - 𝔢_v
@@ -160,7 +181,7 @@ def mk_mvt(fam: Family) -> MKConstants:
         raise DomainError("mk_mvt needs d > e (degree of F at least 2)")
     r, e = fam.radical, fam.e
     n = e * _polys.degree(r)
-    a_max = Fraction(max(mult for _, mult in fam.factors))
+    a_max = Fraction(fam.max_multiplicity)
     pairs = Fraction(n * (n - 1), 2)
     r0, disc_r = abs(r[0]), abs(_polys.discriminant(r))
     disc_g = (
@@ -197,14 +218,15 @@ def _ceil_log2(r: Fraction) -> int:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@_on_family
 def exceptional_places(fam: Family) -> frozenset[Place]:
     """The archimedean place plus every finite place where any of 𝔞, 𝔟, 𝔢
     is nonzero.  Outside this set every beta_i is a unit and all local
-    estimates hold with zero constants."""
+    estimates hold with zero constants.  Only finite parts are read, so
+    𝔞's archimedean root bound, which factors F(X, 1), is never built."""
     _require_monic(fam, "exceptional_places")
     out = {INF}
-    out.update(Place.finite(p) for p in mk_a(fam).finite)
+    out.update(Place.finite(p) for p in _a_finite(fam))
     # 𝔟 vanishes at all finite places; 𝔢 exists only for d > e
     if fam.d > fam.e:
         out.update(Place.finite(p) for p in mk_mvt(fam).finite)
@@ -336,7 +358,7 @@ def _mk_c(fam: Family) -> MKConstants:
     return MKConstants(finite, arch)
 
 
-@lru_cache(maxsize=None)
+@_on_family
 def theorem1_constants(fam: Family, s: int) -> ConstantsReport:
     """Uniform wandering-point lower bound data: for any parameter t with at
     most s finite bad places and any wandering rational z,

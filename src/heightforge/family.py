@@ -53,8 +53,8 @@ class Family:
     form: tuple[Fraction, ...]
 
     def __hash__(self) -> int:
-        # the dataclass hash of (e, form), computed once: every `specialized`,
-        # `mk_a` and `mk_b` cache lookup hashes the family
+        # the dataclass hash of (e, form), computed once: every `specialized`
+        # cache lookup hashes the family
         h = self.__dict__.get("_hash")
         if h is None:
             h = self.__dict__["_hash"] = hash((self.e, self.form))
@@ -91,18 +91,26 @@ class Family:
 
     @cached_property
     def factors(self) -> tuple[tuple[Coeffs, int], ...]:
-        """Irreducible factors of F(X, 1) over Q with multiplicities alpha_i."""
+        """Irreducible factors of F(X, 1) over Q with multiplicities alpha_i,
+        by sympy; only the archimedean root bound reads them."""
         _, facs = _polys.factor_over_q(self.f1)
         return tuple(facs)
 
     @cached_property
     def radical(self) -> Coeffs:
-        """The monic radical r of F(X, 1): the product of its distinct
-        irreducible factors, made monic.  Its roots are the distinct beta_i."""
-        rad = (Fraction(1),)
-        for fac, _ in self.factors:
-            rad = _polys.mul(rad, fac)
-        return _polys.scale(rad, 1 / rad[-1])
+        """The monic radical r of F(X, 1), f / gcd(f, f') made monic: its
+        roots are the distinct beta_i, each simple."""
+        f = self.f1
+        return _polys.monic(_polys.exact_div(f, _polys.gcd(f, _polys.derivative(f))))
+
+    @cached_property
+    def max_multiplicity(self) -> int:
+        """A = max alpha_i: gcd(f, f') lowers every root's multiplicity by
+        one, so A steps of f -> gcd(f, f') reach a constant."""
+        f, steps = self.f1, 0
+        while _polys.degree(f) > 0:
+            f, steps = _polys.gcd(f, _polys.derivative(f)), steps + 1
+        return steps
 
     @cached_property
     def coefficient_support(self) -> tuple[int, ...]:

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from heightforge import arith, heights
+from heightforge import arith, cli, heights
 from heightforge._acceptance import CRITERIA
 from heightforge.cli import main
 
@@ -304,6 +304,40 @@ def test_scan_usage_errors(capsys, tmp_path):
     assert out["error"]["kind"] == "usage"
 
 
+def test_scan_unwritable_csv_refused_before_the_scan(capsys, tmp_path, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan ran before the CSV path was checked")
+
+    monkeypatch.setattr(cli, "scan", no_scan)
+    read_only = tmp_path / "read_only.csv"
+    read_only.write_text("kept\n")
+    read_only.chmod(0o444)
+    paths = [tmp_path / "missing" / "findings.csv", tmp_path, read_only / "findings.csv"]
+    if not os.access(read_only, os.W_OK):  # a superuser may write it anyway
+        paths.append(read_only)
+    box = ("scan", "--family", FAM632, "--t-bound", "4.1", "--z-bound", "6.9")
+    for path in paths:
+        code, out = run_cli(capsys, *box, "--csv", str(path))
+        assert code == 1 and out["error"]["kind"] == "usage", path
+        assert repr(str(path)) in out["error"]["message"]
+    assert read_only.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["read_only.csv"]
+
+
+def test_scan_that_fails_leaves_the_csv_file_alone(capsys, tmp_path):
+    csv_path = tmp_path / "findings.csv"
+    csv_path.write_text("kept\n")
+    code, out = run_cli(capsys, "scan", "--family", FAM2, "--t-bound", "0.8",
+                        "--z-bound", "0.8", "--t", "1", "--budget", "0",
+                        "--csv", str(csv_path))
+    assert code == 2 and out["error"]["kind"] == "domain"
+    assert csv_path.read_text() == "kept\n"
+    code, out = run_cli(capsys, "scan", "--family", FAM2, "--t-bound", "0.8",
+                        "--z-bound", "0.8", "--t", "1", "--budget", "0",
+                        "--csv", str(tmp_path / "new.csv"))
+    assert code == 2 and not (tmp_path / "new.csv").exists()
+
+
 def test_scan_explicit_t_and_csv(capsys, tmp_path):
     csv_path = tmp_path / "findings.csv"
     code, out = run_cli(
@@ -442,7 +476,20 @@ _SYMPY_FREE = {
     "cli_scan": "from heightforge.cli import main\n"
                 f"assert main(['scan', '--family', {FAM2!r}, '--t-bound', '0.8',"
                 " '--z-bound', '1.0']) == 0",
+    # (X - 1)^2 (X + 2): its radical, multiplicity and discriminant come from
+    # gcds and a Sylvester resultant, and the archimedean root bound is not read
+    "exceptional_places_repeated": "from heightforge import build_family, exceptional_places\n"
+                                   "fam = build_family([1, 0, -3, 2], 2)\n"
+                                   "assert sorted(map(str, exceptional_places(fam)))"
+                                   " == ['2', '3', 'inf']",
 }
+for _fixture in ("unicritical4", "weighted632"):  # F(X, 1) of degree 2
+    _path = str(FIXTURES / f"{_fixture}.json")
+    for _name, _argv in (("certify", "'--t', '1', '--z', '1/3'"), ("obstruct", "'--t', '1/9'"),
+                         ("scan", "'--t-bound', '0.8', '--z-bound', '1.0'")):
+        _SYMPY_FREE[f"cli_{_name}_{_fixture}"] = (
+            "from heightforge.cli import main\n"
+            f"assert main(['{_name}', '--family', {_path!r}, {_argv}]) == 0")
 
 
 @pytest.mark.parametrize("name", sorted(_SYMPY_FREE))

@@ -1,9 +1,11 @@
 """Explicit constants: values on pinned examples plus exact defining-inequality
 oracles."""
 import functools
+import gc
 import json
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import mpmath
@@ -36,6 +38,7 @@ from heightforge.constants import (
 )
 from heightforge.errors import DomainError
 from heightforge.family import build_family, specialize
+from heightforge.preperiodic import certify_point
 
 from test_arith import _greedy_polygon
 
@@ -422,6 +425,22 @@ def test_theorem1_c_positive_and_cached():
     js = rep.to_json()
     assert js["orbitBound"] == 12
     assert js["epsilon"]["delta"] == "1/4"
+
+
+def test_constants_do_not_keep_the_family_alive():
+    # every constant is cached on the family it describes, so once the
+    # bounded map caches are emptied nothing holds the family
+    fam = build_family([1, -3, 5], 2)  # z^4 - 3 t z^2 + 5 t^2
+    certify_point(fam, Fraction(1, 3), Fraction(1, 2))
+    for constant in (exceptional_places, mk_a, mk_b, mk_mvt):
+        constant(fam)
+    theorem1_constants(fam, 1)
+    ref = weakref.ref(fam)
+    del fam
+    family._specialized.cache_clear()
+    family.parameter_denominator_factors.cache_clear()
+    gc.collect()
+    assert ref() is None
 
 
 def test_log2_at():

@@ -1,11 +1,14 @@
 """Family construction, specialization, monic normalization, and parameter
 covers."""
+import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from heightforge import _polys as P
@@ -114,6 +117,48 @@ def test_factor_data():
     fam4 = build_family([1, -2, 1], 2)
     assert fam4.factors[0][1] == 2
     assert fam4.arch_root_bound == 1
+
+
+_NONZERO = st.fractions(-9, 9, max_denominator=6).filter(bool)
+
+
+@st.composite
+def _repeated_factor_forms(draw):
+    """Forms a_D, ..., a_0 (leading first) of degree 1 to 6: a lead times
+    powers of monic linear and quadratic factors with nonzero constant terms."""
+    f, deg = (draw(_NONZERO),), draw(st.integers(1, 6))
+    while P.degree(f) < deg:
+        room = deg - P.degree(f)
+        k = draw(st.integers(1, min(2, room)))
+        fac = (draw(_NONZERO),) + tuple(draw(st.fractions(-9, 9, max_denominator=6))
+                                        for _ in range(k - 1)) + (Fraction(1),)
+        for _ in range(draw(st.integers(1, room // k))):
+            f = P.mul(f, fac)
+    return list(reversed(f))
+
+
+def _from_sympy(p) -> tuple[Fraction, ...]:
+    return tuple(Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(form=_repeated_factor_forms(), e=st.integers(2, 3))
+@example(form=[1, 0, -3, 2], e=2)  # (X - 1)^2 (X + 2)
+@example(form=[2, 12, 30, 40, 30, 12, 2], e=2)  # 2 (X + 1)^6
+@example(form=[1, 0, 2, 0, 1], e=3)  # (X^2 + 1)^2
+def test_radical_multiplicity_and_discriminant_match_sympy(form, e):
+    # the radical f / gcd(f, f'), the greatest multiplicity read from the
+    # gcd chain and the discriminant as a resultant, against sympy's
+    # factorization and discriminant
+    fam = build_family(form, e)
+    x = sympy.Symbol("x")
+    f = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in fam.form], x)
+    _, factors = f.factor_list()
+    rad = functools.reduce(operator.mul, (fac for fac, _ in factors)).monic()
+    assert fam.radical == _from_sympy(rad)
+    assert fam.max_multiplicity == max(mult for _, mult in factors)
+    assert P.discriminant(fam.radical) == _from_sympy(sympy.Poly(rad.discriminant(), x))[0]
+    assert P.discriminant(fam.f1) == _from_sympy(sympy.Poly(f.discriminant(), x))[0]
 
 
 def test_specialized_map(monkeypatch):

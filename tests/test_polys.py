@@ -3,9 +3,11 @@ discriminants."""
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 
 from heightforge import _polys as P
+from heightforge.errors import DomainError
 
 
 def _rand_poly(rng, deg, lo=-9, hi=9, monic=False):
@@ -36,6 +38,29 @@ def test_ring_ops():
         x = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
         assert P.evaluate(P.mul(f, g), x) == P.evaluate(f, x) * P.evaluate(g, x)
         assert P.evaluate(P.scale(f, Fraction(3, 2)), x) == Fraction(3, 2) * P.evaluate(f, x)
+
+
+def test_division_gcd_and_derivative():
+    rng = random.Random(2)
+    for _ in range(100):
+        f = _rand_poly(rng, rng.randint(0, 6))
+        g = _rand_poly(rng, rng.randint(0, 4))
+        h = _rand_poly(rng, rng.randint(0, 3), monic=True)
+        q, r = P.divmod_poly(f, g)
+        # f = q g + r at 7 points, which fixes a polynomial of degree <= 6
+        assert all(P.evaluate(f, x) == P.evaluate(q, x) * P.evaluate(g, x) + P.evaluate(r, x)
+                   for x in map(Fraction, range(-3, 4)))
+        assert P.degree(r) < P.degree(g)
+        assert P.exact_div(P.mul(f, g), g) == f
+        # gcd(h f, h g) = h times gcd(f, g), monic
+        common = P.gcd(P.mul(h, f), P.mul(h, g))
+        assert common[-1] == 1 and P.divmod_poly(common, h)[1] == ()
+        assert P.divmod_poly(P.mul(h, f), common)[1] == ()
+    assert P.gcd((), ()) == ()
+    assert P.derivative(P.poly([5, 3, 0, 2])) == P.poly([3, 0, 6])
+    assert P.derivative(P.poly([5])) == ()
+    with pytest.raises(DomainError):
+        P.exact_div(P.poly([1, 0, 1]), P.poly([1, 1]))
 
 
 def test_clear_denominators():
