@@ -16,8 +16,10 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Sequence
 
+from mpmath.libmp import fone, from_rational, mpf_div, mpf_sub, round_ceiling, round_floor
+
 from . import _polys
-from ._intervals import Interval, log_interval
+from ._intervals import DEFAULT_PREC, Interval, log_interval, log_iv
 from ._polys import Coeffs
 from .arith import (
     LocalValue,
@@ -332,6 +334,39 @@ class SpecializedMap:
         c_up = log_interval(max(Fraction(1), sum(abs(c) for c in self.ze_coeffs)))
         lead = log_interval(abs(self.ze_coeffs[-1]))
         return c_up.scale(Fraction(1, d - 1)), lead.scale(Fraction(1, d - 1))
+
+    @cached_property
+    def _tail_hi(self):
+        """T as a libmp number, rounded up."""
+        T = self.tail_sum
+        return from_rational(T.numerator, T.denominator, DEFAULT_PREC, round_ceiling)
+
+    def arch_escape_value(self, az, n: int) -> Interval:
+        """An enclosure of G_inf(z), given a libmp endpoint pair az enclosing
+        |z_n| > R_esc for the n-th orbit point z_n of z:
+
+            G_inf(z) in d^-n (log|z_n| + log|b_D|/(d-1)) +- d^-n eps/(d-1),
+            eps = -log(1 - T/|z_n|).
+
+        Past R_esc, log|f(w)| = d log|w| + log|b_D| + eta(w) with
+        |eta(w)| <= -log(1 - T/|w|), and |w| grows along the orbit, so
+        summing G(z_n) = log|z_n| + sum_k d^-(k+1) (log|b_D| + eta(z_{n+k}))
+        gives the width.  Every rounding is outward, T/|z_n| read with T
+        rounded up and |z_n| at az's lower end.
+
+        The exact lower end d^-n ((d-1) log|z_n| + log|b_D| - eps)/(d-1) is
+        positive: R_esc = max(1, 2T, 2/|b_D|) gives T/|z_n| < 1/2, so
+        eps < log 2, and since |z_n| > 1 and d >= 2,
+        (d-1) log|z_n| + log|b_D| >= log(|z_n| |b_D|) > log 2.  The float
+        enclosure's lower end can still fall to 0 or below when that margin
+        is under its rounding; a later orbit point then gives a larger
+        lower end."""
+        ratio = mpf_div(self._tail_hi, az[0], DEFAULT_PREC, round_ceiling)  # >= T/|z_n|
+        one_minus = mpf_sub(fone, ratio, DEFAULT_PREC, round_floor)
+        eps_hi = -log_iv((one_minus, one_minus)).lo
+        tail = Interval(-eps_hi, eps_hi).scale(Fraction(1, self.d - 1))
+        enc = log_iv(az) + self.arch_log_terms[1] + tail
+        return enc.scale(Fraction(1, self.d**n))
 
     @cached_property
     def denominator_factors(self) -> dict[int, int]:

@@ -31,7 +31,11 @@ Every algorithm below is generic in the coefficients (monic is not assumed):
   T = sum_{j<D} |b_j| / |b_D|, writing log|f(w)| = d log|w| + log|b_D| + eta
   with |eta| <= -log(1 - T/|w|), the orbit grows monotonically and
   G = d^{-n}(log|z_n| + log|b_D|/(d-1)) +- d^{-n} eps_n/(d-1) with
-  eps_n = -log(1 - T/|z_n|) shrinking doubly exponentially.
+  eps_n = -log(1 - T/|z_n|) shrinking doubly exponentially.  The closed form
+  is `SpecializedMap.arch_escape_value`, which also proves its lower end
+  positive; this loop's escape exit reads it at the first z_n whose width
+  is within tol, and a certificate with an escape witness at infinity reads
+  its lower end at the first escaping point, with no loop.
 * archimedean, bounded: log+|f(w)| <= d log+|w| + C with
   C = log max(1, sum|b_j|), giving the same geometric interval exit.
 
@@ -92,15 +96,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Union
 
-from mpmath.libmp import (
-    fone,
-    from_man_exp,
-    from_rational,
-    mpf_div,
-    mpf_sub,
-    round_ceiling,
-    round_floor,
-)
+from mpmath.libmp import from_man_exp
 
 from . import _polys
 from ._intervals import (
@@ -137,7 +133,6 @@ DEFAULT_TOL = 1e-9
 _EXACT_BITS = 4096  # switch from exact rationals to windowed arithmetic
 _REL_PREC0 = 64  # initial p-adic relative precision (digits)
 _MAX_RESTARTS = 10
-_EXIT_PREC = DEFAULT_PREC  # archimedean exit roundings; restarts raise only the orbit's
 _LN2_LO = _down(math.log(2))  # a float <= log 2
 _K_CAP = 1 << 1000  # bit-length bounds past this are read as this
 
@@ -333,12 +328,10 @@ def _exceeds(m: int, x: int, q: Fraction | int) -> bool:
 
 def _arch_green(fmap: SpecializedMap, z: Fraction, tol: float, budget: int) -> GreenResult:
     b, e, d = fmap.ze_coeffs, fmap.e, fmap.d
-    head, lead_term = fmap.arch_log_terms
+    head = fmap.arch_log_terms[0]
     radius, tail_sum = fmap.escape_radius, fmap.tail_sum
     # T > 2^tail_bits when T > 0
     tail_bits = tail_sum.numerator.bit_length() - 1 - tail_sum.denominator.bit_length()
-    tail_hi = from_rational(tail_sum.numerator, tail_sum.denominator,
-                            _EXIT_PREC, round_ceiling)  # T, rounded up
     best_upper = math.inf
     skipped: list[tuple[float, int, int, int]] = []  # (filter bound, |z_n| <= m 2^x as m, x, n)
 
@@ -395,14 +388,7 @@ def _arch_green(fmap: SpecializedMap, z: Fraction, tol: float, budget: int) -> G
                         else 0.0
                     )
                     if width_lo <= tol:
-                        az_lo, az_hi = from_man_exp(lo, x), from_man_exp(hi, x)
-                        # >= T/|z_n|, rounded up; <= 1/2 in the escape region
-                        ratio = mpf_div(tail_hi, az_lo, _EXIT_PREC, round_ceiling)
-                        one_minus = mpf_sub(fone, ratio, _EXIT_PREC, round_floor)
-                        eps_hi = -log_iv((one_minus, one_minus)).lo
-                        tail = Interval(-eps_hi, eps_hi).scale(Fraction(1, d - 1))
-                        enc = log_iv((az_lo, az_hi)) + lead_term + tail
-                        enc = enc.scale(Fraction(1, d**n))
+                        enc = fmap.arch_escape_value((from_man_exp(lo, x), from_man_exp(hi, x)), n)
                         if enc.width <= tol:
                             return GreenResult(enc.clamp_nonneg(), "interval", n)
                 # precision health: the relative width (hi - lo) / max(hi, 1) of

@@ -3,8 +3,9 @@
 A rational point is preperiodic exactly when its forward orbit repeats, and
 every repeat is found by exact iteration; a wandering point is certified
 either by a single-place escape witness (which forces a positive local
-Green's value, hence positive canonical height) or by a canonical-height
-enclosure bounded away from zero.
+Green's value, hence positive canonical height, read in closed form at the
+orbit's first escaping point) or by a canonical-height enclosure bounded
+away from zero.
 
 An orbit stops at its first repeat or at its first point in the escape
 region of some place, so a wandering point's certificate ends at the first
@@ -59,7 +60,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from ._intervals import exp_floor
+from ._intervals import exp_floor, iv_from_fraction
 from .arith import (
     _MAX_INTEGER_DIGITS,
     INF,
@@ -80,7 +81,7 @@ from .family import (
     parameter_denominator_factors,
     specialized,
 )
-from .heights import canonical_height, local_green
+from .heights import canonical_height
 
 __all__ = [
     "CycleFound",
@@ -289,8 +290,10 @@ class Certificate:
 
     Preperiodic: `preperiod` and `period` replay by exact iteration.
     Wandering: `hhat_lower_bound` > 0, witnessed either by an escape place
-    (witness = the Place) or by a canonical-height enclosure with positive
-    lower end (witness = "height-interval").
+    (witness = the Place; the bound is the closed-form lower end of G at
+    that place, read at the orbit's first escaping point) or by a
+    canonical-height enclosure with positive lower end
+    (witness = "height-interval").
     """
 
     verdict: str  # "preperiodic" | "wandering"
@@ -316,31 +319,34 @@ class Certificate:
         return out
 
 
-def _positive_green_bound(fam: Family, t: Fraction, z: Fraction) -> float:
+def _positive_green_bound(fmap: SpecializedMap, w: Fraction, n: int) -> float:
     """A certified positive lower bound for G_inf(z), given that the orbit
-    escapes at infinity; the tolerance is quartered until the enclosure
-    clears 0."""
-    tol = 1e-6
-    for _ in range(80):
-        enc = local_green(fam, t, INF, z, tol=tol).enclosure()
-        if enc.lo > 0:
-            return enc.lo
-        tol /= 4
-    raise BudgetExceeded("could not separate the escape-place Green value from 0")
+    point z_n = w lies in the escape region at infinity: the lower end of
+    the closed form `SpecializedMap.arch_escape_value` at z_n.  Its exact
+    value is positive; when rounding hides that, the closed form is read at
+    z_{n+1}, z_{n+2}, ... (one exact step each), until the point passes the
+    orbit bit-size cap."""
+    while True:
+        lo = fmap.arch_escape_value(iv_from_fraction(abs(w)), n).lo
+        if lo > 0:
+            return lo
+        if w.numerator.bit_length() + w.denominator.bit_length() > _ORBIT_BIT_CAP:
+            raise BudgetExceeded("could not separate the escape-place Green value from 0")
+        w, n = fmap(w), n + 1
 
 
 def _escape_certificate(
     fam: Family, t: Fraction, record: OrbitRecord, place: Place, n: int
 ) -> Certificate:
     """The wandering certificate of z = record.points[0], given that
-    z_n = record.points[n] escapes at `place`: hhat(z) >= G_place(z) > 0, read
-    in closed form at z_n for a finite place, from the Green loop at infinity."""
+    z_n = record.points[n] escapes at `place`: hhat(z) >= G_place(z) > 0,
+    read in closed form at z_n, with no Green loop."""
+    fmap, w = specialized(fam, t), record.points[n]
     if place.is_archimedean:
-        bound = _positive_green_bound(fam, t, record.points[0])
+        bound = _positive_green_bound(fmap, w, n)
     else:
-        w = record.points[n]
         vw = vp_pair(w.numerator, w.denominator, place.prime)
-        bound = specialized(fam, t).green_data(place.prime).escape_value(vw, n).enclosure().lo
+        bound = fmap.green_data(place.prime).escape_value(vw, n).enclosure().lo
     return Certificate("wandering", record, hhat_lower_bound=bound, witness=place)
 
 
@@ -351,7 +357,9 @@ def certify_point(fam: Family, t: Fraction, z: Fraction) -> Certificate:
     preperiodic rationals repeat in finitely many exact steps, and wandering
     rationals either enter a certified escape region at some place or get a
     canonical-height enclosure with positive lower end.  An obstructed
-    place's witness and an orbit's are both read by `_escape_certificate`.
+    place's witness and an orbit's, finite or at infinity, are all read in
+    closed form by `_escape_certificate`, so a Green loop runs only through
+    `canonical_height`, for a point with no escape witness.
     """
     t, z = Fraction(t), Fraction(z)
     if fam.monic:

@@ -10,16 +10,16 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from mpmath import mp
 
 from heightforge import _polys as P
-from heightforge import arith, family
+from heightforge import arith, family, heights
 from heightforge.arith import INF, Place, padic_valuation, support, vp_or_none
 from heightforge.constants import _mk_c, exceptional_places, pigeonhole_delta, theorem1_constants
-from heightforge._intervals import Interval, log_prime_iv
+from heightforge._intervals import Interval, iv_from_fraction, log_prime_iv
 from heightforge.errors import BudgetExceeded, DomainError
 from heightforge.family import Family, analyze_cover, build_family, specialize, specialized
 from heightforge.heights import (
-    GreenResult,
     _naive_height_interval,
     arakelov_green,
     canonical_height,
@@ -278,12 +278,15 @@ def test_certify_preperiodic():
 
 
 def test_certify_wandering_arch():
+    # under z^2 + 1 the orbit 0, 1, 2, 5 escapes at step 3 (|5| > R_esc = 2),
+    # and with T = 1 the closed form's lower end there is
+    # 2^-3 (log 5 + log(4/5)) = log 4 / 8
     cert = certify_point(Z2T, Fraction(1), Fraction(0))
     assert cert.verdict == "wandering"
-    assert cert.witness == INF
-    assert cert.hhat_lower_bound > 0.2
+    assert cert.witness == INF and cert.orbit.event == EscapeCertified(INF, 3)
+    assert math.isclose(cert.hhat_lower_bound, math.log(4) / 8, rel_tol=1e-14)
     h = canonical_height(Z2T, Fraction(1), Fraction(0), 1e-9)
-    assert cert.hhat_lower_bound <= h.hi + 1e-12
+    assert cert.hhat_lower_bound <= h.lo  # h.lo = 0.2036...
 
 
 def test_certify_factors_no_multiple_of_an_integral_parameter(monkeypatch):
@@ -382,43 +385,58 @@ def _orbits_without_escape(monkeypatch):
     return budgets, records
 
 
-def _first_undecided(k, tols, wrap=lambda enc: enc):
-    """A stand-in for canonical_height, or with wrap=_green for local_green:
-    its first k enclosures touch 0 and each later one is [1/4, 1/2].  It
-    records the tol of every call."""
+def _first_undecided(k, tols):
+    """A stand-in for canonical_height: its first k enclosures touch 0 and
+    each later one is [1/4, 1/2].  It records the tol of every call."""
     def fn(*args, **kwargs):
         tols.append(kwargs.get("tol", args[-1]))
-        return wrap(Interval(0.0 if len(tols) <= k else 0.25, 0.5))
+        return Interval(0.0 if len(tols) <= k else 0.25, 0.5)
     return fn
 
 
-def _green(enc):
-    return GreenResult(enc, "interval", 0)
+@pytest.mark.parametrize("t, z, read_at", [
+    # R_esc = 2 + 2^-119 < z, with T/|z| = 1/2 - 2^-62 or so: the exact lower
+    # end at z_0 is far below the float rounding, so it is read at z_1
+    (1 + Fraction(1, 2**120), 2 + Fraction(1, 2**60), 1),
+    # a margin of about 2^-30 survives the rounding at z_0 (9.3e-10)
+    (1 + Fraction(1, 2**60), 2 + Fraction(1, 2**30), 0),
+])
+def test_positive_green_bound_reads_a_later_point_when_rounding_hides_it(t, z, read_at):
+    fmap = specialized(Z2T, t)
+    cert = certify_point(Z2T, t, z)
+    assert cert.witness == INF and cert.orbit.event == EscapeCertified(INF, 0)
+    assert cert.orbit.points == (z,)
+    w = z if read_at == 0 else fmap(z)
+    assert cert.hhat_lower_bound == fmap.arch_escape_value(iv_from_fraction(w), read_at).lo
+    if read_at:
+        assert fmap.arch_escape_value(iv_from_fraction(z), 0).lo <= 0
+    assert 0 < cert.hhat_lower_bound <= canonical_height(Z2T, t, z, 1e-9).lo
 
 
-def test_positive_green_bound_retries(monkeypatch):
-    # at t = 1 the orbit 2, 5 escapes at infinity (|5| > R_esc = 2), so
-    # certify_point asks the Green loop for a positive bound on G_inf(2),
-    # quartering the tol while the enclosure touches 0
-    tols = []
-    monkeypatch.setattr(preperiodic, "local_green", _first_undecided(1, tols, _green))
-    cert = certify_point(Z2T, Fraction(1), Fraction(2))
-    assert tols == [1e-6, 2.5e-7]
-    assert cert.witness == INF and cert.hhat_lower_bound == 0.25
-    assert cert.orbit.points == (Fraction(2), Fraction(5))
-    assert cert.orbit.event == EscapeCertified(INF, 1)
-    tols.clear()
-    monkeypatch.setattr(preperiodic, "local_green", _first_undecided(math.inf, tols, _green))
+def test_positive_green_bound_refuses_past_the_bit_cap(monkeypatch):
+    # a lower end that never clears 0 is read at later points only until
+    # the point passes the orbit bit-size cap
+    reads = []
+
+    def undecided(fmap, az, n):
+        reads.append(n)
+        return Interval(0.0, 1.0)
+
+    monkeypatch.setattr(preperiodic, "_ORBIT_BIT_CAP", 64)
+    monkeypatch.setattr(family.SpecializedMap, "arch_escape_value", undecided)
     with pytest.raises(BudgetExceeded, match="could not separate"):
         certify_point(Z2T, Fraction(1), Fraction(2))
-    assert len(tols) == 80
+    # z_1 = 5 escapes; 26, 677, 458330 and 210066388901 (38 bits) stay under
+    # the cap, and z_6 (76 bits) is read once more before the refusal
+    assert reads == [1, 2, 3, 4, 5, 6]
 
 
-def _finite_witness_certificates():
-    """Seeded certify_point cases with a finite witness, as (family, t, z,
-    certificate): over z^2 + t, z^3 + t, z^4 + t^2, the weighted632 fixture
-    (z^6 - 3 t z^3 + t^2) and 3 z^2 + t, at parameters a/p^k and points
-    whose denominators are powers of small primes."""
+def _escape_witness_certificates():
+    """Seeded certify_point cases with an escape witness, finite or at
+    infinity, as (family, t, z, certificate): over z^2 + t, z^3 + t,
+    z^4 + t^2, the weighted632 fixture (z^6 - 3 t z^3 + t^2) and 3 z^2 + t,
+    at parameters a/p^k and points whose denominators are powers of small
+    primes."""
     spec = json.loads((FIXTURES / "weighted632.json").read_text())
     fams = [Z2T, Z3T, Z4T2, Family.from_json(spec), NONMONIC]
     rng = random.Random(17)
@@ -431,13 +449,15 @@ def _finite_witness_certificates():
             t = Fraction(a, p ** rng.randint(1, 2 * fam.e))
             z = Fraction(rng.randint(-20, 20), rng.choice(primes) ** rng.randint(0, 3))
             cert = certify_point(fam, t, z)
-            if isinstance(cert.witness, Place) and not cert.witness.is_archimedean:
+            if isinstance(cert.witness, Place):
                 out.append((fam, t, z, cert))
     return out
 
 
 def test_finite_witness_bound_is_the_green_loops_value(monkeypatch):
-    cases = _finite_witness_certificates()
+    witnessed = _escape_witness_certificates()
+    cases = [c for c in witnessed if not c[3].witness.is_archimedean]
+    assert len(cases) < len(witnessed)  # some witnesses are at infinity
     obstructed = [c for c in cases if isinstance(c[3].orbit.event, OrbitTruncated)]
     escaped = [c for c in cases if isinstance(c[3].orbit.event, EscapeCertified)]
     assert len(obstructed) + len(escaped) == len(cases)
@@ -451,12 +471,13 @@ def test_finite_witness_bound_is_the_green_loops_value(monkeypatch):
     for fam, t, z, cert in cases:
         green = local_green(fam, t, cert.witness, z, tol=1e-6).enclosure()
         assert cert.hhat_lower_bound == green.lo > 0, (fam, t, z)
-    # no Green loop is run for a finite witness
+    # no Green loop is run for an escape witness, finite or at infinity
     def refuse(*args, **kwargs):
-        raise AssertionError("local_green called for a finite witness")
+        raise AssertionError("a Green loop ran for an escape witness")
 
-    monkeypatch.setattr(preperiodic, "local_green", refuse)
-    for fam, t, z, cert in cases:
+    monkeypatch.setattr(heights, "_arch_green", refuse)
+    monkeypatch.setattr(heights, "_finite_green", refuse)
+    for fam, t, z, cert in witnessed:
         assert certify_point(fam, t, z).to_json() == cert.to_json()
     # and the obstructed branch iterates no orbit
     def no_orbit(*args, **kwargs):
@@ -465,6 +486,45 @@ def test_finite_witness_bound_is_the_green_loops_value(monkeypatch):
     monkeypatch.setattr(preperiodic, "iterate_orbit", no_orbit)
     for fam, t, z, cert in obstructed:
         assert certify_point(fam, t, z).to_json() == cert.to_json()
+
+
+def _closed_form_lower_end(fam, t, w, n):
+    """d^-n (log|w| + (log|b_D| - eps)/(d-1)), eps = -log(1 - T/|w|), at
+    200 bits from the form coefficients: b_D = a_D and
+    T = sum_{j<D} |a_j t^(D-j)| / |a_D|."""
+    a_lead, d = abs(fam.form[0]), fam.d
+    tail = sum(abs(a * t**i) for i, a in enumerate(fam.form) if i) / a_lead
+    with mp.workprec(200):
+        aw = abs(mp.mpf(w.numerator) / w.denominator)
+        eps = -mp.log(1 - (mp.mpf(tail.numerator) / tail.denominator) / aw)
+        log_lead = mp.log(mp.mpf(a_lead.numerator) / a_lead.denominator)
+        return (mp.log(aw) + (log_lead - eps) / (d - 1)) / mp.mpf(d) ** n
+
+
+def test_infinity_witness_bound_is_the_closed_form():
+    # 100 seeded escape witnesses at infinity per family; for (1/7) z^2 + t,
+    # t and z are multiples of 7, so that no orbit escapes at 7
+    spec = json.loads((FIXTURES / "weighted632.json").read_text())
+    fams = [Z2T, Z3T, Z4T2, Family.from_json(spec), NONMONIC,
+            build_family([Fraction(1, 7), 1], 2)]
+    rng = random.Random(27)
+    cases = []
+    for fam in fams:
+        k = 7 if fam.form[0] == Fraction(1, 7) else 1
+        found = 0
+        while found < 100:
+            t = k * Fraction(rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 5)))
+            z = k * Fraction(rng.randint(-60, 60), rng.choice((1, 1, 2, 3, 4, 5)))
+            cert = certify_point(fam, t, z)
+            if cert.witness == INF:
+                cases.append((fam, t, z, cert))
+                found += 1
+    for fam, t, z, cert in cases:
+        n = cert.orbit.event.step
+        bound = cert.hhat_lower_bound
+        assert 0 < bound <= canonical_height(fam, t, z, 1e-9).hi, (fam, t, z)
+        exact = _closed_form_lower_end(fam, t, cert.orbit.points[n], n)
+        assert bound <= exact and exact - bound <= 1e-12 * exact, (fam, t, z)
 
 
 def test_results_do_not_depend_on_the_log_prime_cache():
