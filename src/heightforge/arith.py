@@ -14,6 +14,7 @@ Conventions: v_p is the usual additive valuation with v_p(p) = 1, so
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -118,11 +119,17 @@ def integer_root(n: int, k: int) -> tuple[int, bool]:
 # ---------------------------------------------------------------------------
 # primality and factoring.  Strong Fermat tests to the 13 prime bases 2..41
 # prove primality below 3317044064679887385961981, the least strong pseudoprime
-# to all of them (Sorenson-Webster 2017); at or above it is_prime refuses.
-# Brent's Pollard rho splits cofactors within _RHO_ITERATIONS per factoring.
-# The primes below 10^4 come from a sieve at import.  sympy's perfect_power,
-# the only sympy call here, is imported at the first composite cofactor with
-# no prime factor below 10^4, so importing the package loads no sympy.
+# to all of them (Sorenson-Webster 2017).  At or above it a failed strong test
+# to any prime base below 100 still proves n composite, and only an n that
+# passes all 25 is refused as unprovable.  A composite cofactor free of the
+# primes below 10^4 goes first to one deterministic Pollard p - 1 pass
+# (Pollard 1974), which splits it when p - 1 divides lcm(1..B1) times at most
+# one prime q <= B2 for some, but not every, prime p of it, and otherwise to
+# Brent's Pollard rho, within _RHO_ITERATIONS per factoring.  The primes
+# below 10^4 come from a sieve at import, and p - 1's primes up to B2 from
+# one at its first pass.  sympy's perfect_power, the only sympy call here,
+# is imported at the first composite cofactor with no prime factor below
+# 10^4, so importing the package loads no sympy.
 # ---------------------------------------------------------------------------
 
 
@@ -138,14 +145,31 @@ def _primes_below(n: int) -> list[int]:
 
 _SMALL_PRIMES = _primes_below(10_000)
 _MR_BASES = _SMALL_PRIMES[:13]
+_MR_REFUTE_BASES = _SMALL_PRIMES[:25]  # above the bound they refute, never prove
 _MR_PROOF_BOUND = 3317044064679887385961981
-_RHO_ITERATIONS = 1 << 22  # 16x the most 4 000 products of two 9-digit primes took
+_PM1_B1 = 2_000
+_PM1_B2 = 30_000
+# rho's budget: 16x the most 4 000 products of two 9-digit primes took with
+# rho alone; the p - 1 pass before it is not charged to it
+_RHO_ITERATIONS = 1 << 22
+
+
+@functools.lru_cache(maxsize=1)
+def _pm1_plan() -> tuple[int, int, list[int]]:
+    """(E, q_0, half-gaps): E = lcm(1..B1), a 2 878-bit exponent, q_0 the
+    least prime above B1, and (q_(i+1) - q_i) / 2 over the primes q_i in
+    (B1, B2], at most 26.  Built at the first p - 1 pass, not at import."""
+    stage2 = [q for q in _primes_below(_PM1_B2 + 1) if q > _PM1_B1]
+    return (math.lcm(*range(1, _PM1_B1 + 1)), stage2[0],
+            [(b - a) // 2 for a, b in zip(stage2, stage2[1:])])
 
 
 def is_prime(n: int) -> bool:
     """Whether n is prime, by trial division and a strong Fermat test to each
-    of the 13 bases: a proof below _MR_PROOF_BOUND.  An n at or above it that
-    passes all 13 cannot be proved prime, and raises BudgetExceeded."""
+    of the 13 bases: a proof below _MR_PROOF_BOUND.  At or above it n is
+    tested to the 25 prime bases below 100, any of which may prove it
+    composite; an n that passes all 25 cannot be proved prime, and raises
+    BudgetExceeded."""
     if n < 2:
         return False
     for a in _MR_BASES:
@@ -153,7 +177,8 @@ def is_prime(n: int) -> bool:
             return n == a
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * d, d odd
     d = (n - 1) >> s
-    for a in _MR_BASES:
+    provable = n < _MR_PROOF_BOUND
+    for a in _MR_BASES if provable else _MR_REFUTE_BASES:
         x = pow(a, d, n)
         if x == 1:
             continue
@@ -163,11 +188,34 @@ def is_prime(n: int) -> bool:
             x = x * x % n
         else:
             return False
-    if n >= _MR_PROOF_BOUND:
+    if not provable:
         raise BudgetExceeded(
             f"cannot prove {format_rational(n)} prime: 13 bases prove only n < {_MR_PROOF_BOUND}"
         )
     return True
+
+
+def _pollard_pm1(n: int) -> Optional[int]:
+    """A proper factor of n by one Pollard p - 1 pass to base 2, or None,
+    for n odd composite.  Stage 1 is x = 2^E mod n, so gcd(x - 1, n) holds
+    every prime p | n with p - 1 | E.  Stage 2 takes x^q - 1 for each prime
+    q in (B1, B2], stepping x^q to the next prime by a table of x^(2k), and
+    one gcd of their product, which adds the p with p - 1 | E q.  None when
+    the gcd is 1 or n (every prime of n found at once)."""
+    exponent, q_0, half_gaps = _pm1_plan()
+    x = pow(2, exponent, n)
+    g = math.gcd(x - 1, n)
+    if g == 1:
+        step = [1, x * x % n]  # step[k] = x^(2k)
+        for _ in range(max(half_gaps) - 1):
+            step.append(step[-1] * step[1] % n)
+        y = pow(x, q_0, n)
+        acc = y - 1
+        for k in half_gaps:
+            y = y * step[k] % n
+            acc = acc * (y - 1) % n
+        g = math.gcd(acc, n)
+    return g if 1 < g < n else None
 
 
 def _pollard_rho(n: int, budget: int) -> tuple[int, int]:
@@ -206,7 +254,8 @@ def _pollard_rho(n: int, budget: int) -> tuple[int, int]:
 
 
 def factor_integer(n: int) -> dict[int, int]:
-    """Prime factorization of n != 0 as {p: multiplicity}, sign dropped.
+    """Prime factorization of n != 0 as {p: multiplicity}, sign dropped, by
+    trial division, then p - 1, then rho on each composite cofactor.
     BudgetExceeded if is_prime or _pollard_rho refuses a cofactor."""
     if n == 0:
         raise DomainError("cannot factor 0")
@@ -234,7 +283,9 @@ def factor_integer(n: int) -> dict[int, int]:
             base, exp = power
             stack.append((base, k * exp))
             continue
-        g, budget = _pollard_rho(m, budget)
+        g = _pollard_pm1(m)
+        if g is None:
+            g, budget = _pollard_rho(m, budget)
         stack.append((g, k))
         stack.append((m // g, k))
     return dict(sorted(out.items()))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Optional
 
@@ -36,6 +37,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads -1/3 as an option, not as a value: match it as a
+        # negative number too, so that --t -1/3 parses like --t=-1/3
+        self._negative_number_matcher = re.compile(
+            rf"{self._negative_number_matcher.pattern}|^-\d+/\d+$")
+
     def error(self, message):  # argparse would exit(2); keep codes contractual
         raise _UsageError(message)
 

@@ -1,5 +1,6 @@
 """Exact arithmetic substrate: rationals, places, valuations, log sums,
 least root valuations."""
+import itertools
 import math
 import random
 import time
@@ -31,6 +32,7 @@ from heightforge.arith import (
 from heightforge.errors import BudgetExceeded, DomainError, SpecError
 
 PSI_13 = 3317044064679887385961981  # = 1287836182261 * 2575672364521
+PSI_13_NEXT_PRIME = 3317044064679887385962123
 
 
 # -- rational parsing --------------------------------------------------------
@@ -100,19 +102,30 @@ def test_is_prime_proves_or_refuses():
     samples.append(sympy.prevprime(PSI_13))
     for n in samples:
         assert is_prime(n) == sympy.isprime(n)
-    for n in (PSI_13, sympy.nextprime(PSI_13)):  # composite or prime, not provable here
-        with pytest.raises(BudgetExceeded, match=f"cannot prove {n} prime"):
-            is_prime(n)
-    assert not is_prime(PSI_13 + 2)  # a base still refutes a composite above the bound
-    with pytest.raises(BudgetExceeded):
-        factor_integer(7 * PSI_13)
-    with pytest.raises(BudgetExceeded):
+    # at or above the bound the 13 bases prove nothing, but a further base
+    # still refutes a composite: psi_13 fails base 43
+    assert not is_prime(PSI_13) and not is_prime(PSI_13 + 2)
+    assert factor_integer(7 * PSI_13) == {7: 1, 1287836182261: 1, 2575672364521: 1}
+    with pytest.raises(SpecError):
         Place.finite(PSI_13)
+    # a genuine prime above the bound passes every base and is still refused
+    assert PSI_13_NEXT_PRIME == sympy.nextprime(PSI_13)
+    for refuse in (is_prime, factor_integer, Place.finite):
+        with pytest.raises(BudgetExceeded, match=f"cannot prove {PSI_13_NEXT_PRIME} prime"):
+            refuse(PSI_13_NEXT_PRIME)
 
 
 def test_small_primes_sieve_matches_sympy():
     assert arith._SMALL_PRIMES == list(sympy.primerange(10_000))
     assert arith._MR_BASES == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+    assert arith._MR_REFUTE_BASES == list(sympy.primerange(100))
+    exponent, q_0, half_gaps = arith._pm1_plan()
+    # each prime p <= B1 to its largest power <= B1
+    assert exponent == math.prod(p ** int(math.log(2000, p) + 1e-9) for p in sympy.primerange(2000))
+    assert exponent.bit_length() == 2878
+    stage2 = itertools.accumulate([q_0] + [2 * k for k in half_gaps])
+    assert list(stage2) == list(sympy.primerange(2001, 30_001))
+    assert max(half_gaps) == 26
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -142,6 +155,72 @@ def test_factor_integer_matches_sympy():
         # keys sorted, exponents positive, product reconstructs n
         assert list(mine) == sorted(mine)
         assert math.prod(p**e for p, e in mine.items()) == n
+
+
+_ODD_PRIMES_TO_B1 = list(sympy.primerange(3, arith._PM1_B1 + 1))
+_STAGE2_PRIMES = list(sympy.primerange(arith._PM1_B1 + 1, arith._PM1_B2 + 1))
+
+
+def _smooth_prime(rng, lo, hi, stage2):
+    """A prime p in [lo, hi) with p - 1 = 2 times distinct odd primes <= B1,
+    times one prime in (B1, B2] if stage2: p - 1 divides E, or E q."""
+    while True:
+        m = 2 * (rng.choice(_STAGE2_PRIMES) if stage2 else 1)
+        for r in rng.sample(_ODD_PRIMES_TO_B1, len(_ODD_PRIMES_TO_B1)):
+            if 3 * m >= lo:
+                break
+            m *= r
+        if lo <= m + 1 < hi and sympy.isprime(m + 1):
+            return m + 1
+
+
+def _rough_prime(rng, lo, hi):
+    """A prime p in [lo, hi) with p - 1 = 2 r for a prime r > B2."""
+    while True:
+        r = sympy.nextprime(rng.randrange(lo // 2, hi // 2))
+        if 2 * r + 1 < hi and sympy.isprime(2 * r + 1):
+            return int(2 * r + 1)
+
+
+def test_factor_integer_semiprimes_by_pm1_and_rho():
+    # 320 seeded products of two primes of 9-12 digits, in six classes by
+    # what the p - 1 pass finds before rho
+    rng = random.Random(2801)
+    nine = (10**8, 10**9)
+
+    def wide():  # 10-12 digits: only p - 1 splits these in milliseconds
+        d = rng.randint(10, 12)
+        return 10 ** (d - 1), 10**d
+
+    classes = {  # name: (pairs, whether p - 1 returns a factor)
+        "random": ([tuple(int(sympy.nextprime(rng.randrange(*nine))) for _ in range(2))
+                    for _ in range(150)], None),
+        "stage 1 finds p": ([(_smooth_prime(rng, *wide(), False), _rough_prime(rng, *nine))
+                             for _ in range(40)], True),
+        "stage 2 finds p": ([(_smooth_prime(rng, *wide(), True), _rough_prime(rng, *nine))
+                             for _ in range(40)], True),
+        # both primes at once (g == n): rho takes over
+        "stage 1 finds both": ([(_smooth_prime(rng, *nine, False), _smooth_prime(rng, *nine, False))
+                                for _ in range(30)], False),
+        "stage 2 finds both": ([(_smooth_prime(rng, *nine, True), _smooth_prime(rng, *nine, True))
+                                for _ in range(20)], False),
+        "neither smooth": ([(_rough_prime(rng, *nine), _rough_prime(rng, *nine))
+                            for _ in range(40)], False),
+    }
+    split_by_pm1 = 0
+    for name, (pairs, pm1_splits) in classes.items():
+        for i, (p, q) in enumerate(pairs):
+            n = p * q
+            g = arith._pollard_pm1(n)
+            assert g in (None, p, q), (name, p, q)
+            if pm1_splits is not None:
+                assert (g is not None) == pm1_splits, (name, p, q)
+            split_by_pm1 += g is not None
+            # p and q are proved prime by sympy, so the factorization is {p, q};
+            # sympy.factorint, some 40 ms a case, reads one case in ten
+            expected = dict(sympy.factorint(n)) if i % 10 == 0 else {p: 1, q: 1}
+            assert factor_integer(n) == expected == {p: 1, q: 1}, (name, p, q)
+    assert 150 <= split_by_pm1 <= 200  # 80 smooth pairs, and about half of the random ones
 
 
 def test_factor_integer_edge_cases():

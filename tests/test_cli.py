@@ -25,8 +25,11 @@ FAM4 = str(FIXTURES / "unicritical4.json")
 FAM632 = str(FIXTURES / "weighted632.json")
 # two 20-digit primes: past Pollard rho's iteration limit
 RHO_HARD = "300000000000000001940000000000000002091"
-# the least strong pseudoprime to all 13 Miller-Rabin bases: not provably prime
+# the least strong pseudoprime to all 13 Miller-Rabin bases 2..41; base 43
+# proves it composite
 PSI_13 = "3317044064679887385961981"
+# the least prime above it: it passes every base, so it cannot be proved prime
+PSI_13_NEXT_PRIME = "3317044064679887385962123"
 
 
 def run_cli(capsys, *argv):
@@ -46,6 +49,21 @@ def test_height_preperiodic_example(capsys):
     assert out["lo"] == 0.0
     assert 0.0 <= out["hi"] <= 1e-9
     assert out["family"] == {"e": 2, "F": ["1", "1"]}
+
+
+def test_negative_rational_after_a_space(capsys):
+    # argparse would read -1/3 as an option; it parses like --t=-1/3
+    for command, before, option, after in (("height", (), "--t", ("--z", "0")),
+                                           ("certify", ("--t", "1"), "--z", ())):
+        outs = []
+        for value in ((option, "-1/3"), (f"{option}=-1/3",)):
+            assert main([command, "--family", FAM2, *before, *value, *after]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+    # other texts that look like options are still read as options
+    code, out = run_cli(capsys, "height", "--family", FAM2, "--t", "-1/x", "--z", "0")
+    assert code == 1 and out["error"] == {"kind": "usage",
+                                          "message": "argument --t: expected one argument"}
 
 
 def test_criterion_example(capsys):
@@ -536,12 +554,22 @@ def test_unprovable_factoring_exit_3(capsys, monkeypatch):
     code, out = run_cli(capsys, "certify", "--family", FAM2, "--t", "1/3", "--z", f"1/{RHO_HARD}")
     assert code == 0 and out["witness"] == "3"
     for argv in (
-        ("green", "--family", FAM2, "--t", "1/3", "--place", PSI_13, "--z", "1/3"),
-        ("certify", "--family", FAM2, "--t", f"1/{PSI_13}", "--z", "1/3"),
+        ("green", "--family", FAM2, "--t", "1/3", "--place", PSI_13_NEXT_PRIME, "--z", "1/3"),
+        ("certify", "--family", FAM2, "--t", f"1/{PSI_13_NEXT_PRIME}", "--z", "1/3"),
     ):
         code, out = run_cli(capsys, *argv)
         assert code == 3 and out["error"]["kind"] == "budget", argv
-        assert out["error"]["message"].startswith(f"cannot prove {PSI_13} prime")
+        assert out["error"]["message"].startswith(f"cannot prove {PSI_13_NEXT_PRIME} prime")
+
+
+def test_pseudoprime_psi_13_is_refuted(capsys):
+    # psi_13 is refuted by a further base: not a place, and split by rho as a
+    # parameter (a split past the 4 096 iterations of the test above)
+    code, out = run_cli(capsys, "green", "--family", FAM2, "--t", "1/3", "--place", PSI_13,
+                        "--z", "1/3")
+    assert code == 1 and out["error"] == {"kind": "spec", "message": f"not a prime: {PSI_13}"}
+    code, out = run_cli(capsys, "certify", "--family", FAM2, "--t", f"1/{PSI_13}", "--z", "1/3")
+    assert code == 0 and int(PSI_13) % int(out["witness"]) == 0
 
 
 def test_integers_past_str_digit_limit(capsys):
