@@ -9,8 +9,9 @@ denominator, the radical of F(X, 1) and its derivative).  Discriminants come
 from those resultants, and the radical of F(X, 1) and its greatest root
 multiplicity from gcds with derivatives (Yun 1976), so no family constant at
 a finite place factors anything.  sympy factors over Q (degree 2 and up): the
-archimedean root bound of F(X, 1) and covers need it, and it is imported on
-the first such call, not with the package.
+archimedean root bound of F(X, 1) and a cover's pole groups need it (the
+groups are factored when first read, never by a scan), and it is imported
+on the first such call, not with the package.
 """
 from __future__ import annotations
 

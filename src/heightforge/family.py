@@ -521,10 +521,21 @@ class PoleGroup:
 
 @dataclass(frozen=True)
 class CoverAnalysis:
+    """A cover phi = numer/denom checked by `analyze_cover`.  `poles` factors
+    the denominator on first read, so a scan, which only evaluates phi, never
+    factors and never imports sympy."""
+
     numer: Coeffs
     denom: Coeffs
-    poles: tuple[PoleGroup, ...]
     infinity_order: int
+
+    @cached_property
+    def poles(self) -> tuple[PoleGroup, ...]:
+        groups = []
+        for fac, mult in _polys.factor_over_q(self.denom)[1]:
+            loc = -fac[0] / fac[1] if _polys.degree(fac) == 1 else None
+            groups.append(PoleGroup(fac, mult, _polys.degree(fac), loc))
+        return tuple(groups)
 
     def affine_pole_count(self) -> int:
         return sum(g.count for g in self.poles)
@@ -546,8 +557,8 @@ def analyze_cover(
     Requires coprime numerator and denominator (a nonzero resultant) and a
     nonconstant map.  Poles in the affine line are grouped by the irreducible
     factors of the denominator (count = factor degree, order = factor
-    multiplicity); the map has a pole at infinity of order
-    deg numer - deg denom when that difference is positive.
+    multiplicity) when `poles` is first read, not here; the map has a pole at
+    infinity of order deg numer - deg denom when that difference is positive.
     """
     for name, coeffs in (("numer", numer), ("denom", denom)):
         if not isinstance(coeffs, (list, tuple)):
@@ -563,17 +574,8 @@ def analyze_cover(
         raise SpecError("constant map")
     if _polys.resultant(nu, de) == 0:
         raise SpecError("numer and denom share a nonconstant factor")
-    groups: list[PoleGroup] = []
-    if _polys.degree(de) > 0:
-        _, facs = _polys.factor_over_q(de)
-        for fac, mult in facs:
-            degf = _polys.degree(fac)
-            loc = -fac[0] / fac[1] if degf == 1 else None
-            groups.append(
-                PoleGroup(factor=fac, order=mult, count=degf, rational_location=loc)
-            )
     inf_order = max(0, _polys.degree(nu) - _polys.degree(de))
-    return CoverAnalysis(numer=nu, denom=de, poles=tuple(groups), infinity_order=inf_order)
+    return CoverAnalysis(numer=nu, denom=de, infinity_order=inf_order)
 
 
 def evaluate_cover(cov: CoverAnalysis, t: Fraction) -> Fraction:

@@ -500,6 +500,10 @@ _SYMPY_FREE = {
                                    "fam = build_family([1, 0, -3, 2], 2)\n"
                                    "assert sorted(map(str, exceptional_places(fam)))"
                                    " == ['2', '3', 'inf']",
+    # a scan evaluates its cover and never reads the cover's pole groups
+    "analyze_cover_scan": "from heightforge import analyze_cover, build_family, scan\n"
+                          "cov = analyze_cover([1], [1, 0, 0, 0, 1])\n"
+                          "assert scan(build_family([1, 1], 2), 0.8, 1.0, cover=cov).complete",
 }
 for _fixture in ("unicritical4", "weighted632"):  # F(X, 1) of degree 2
     _path = str(FIXTURES / f"{_fixture}.json")
@@ -508,6 +512,16 @@ for _fixture in ("unicritical4", "weighted632"):  # F(X, 1) of degree 2
         _SYMPY_FREE[f"cli_{_name}_{_fixture}"] = (
             "from heightforge.cli import main\n"
             f"assert main(['{_name}', '--family', {_path!r}, {_argv}]) == 0")
+# 1/(1 + s^4) and 1/(1 + s^5) have the power criterion's shape, and
+# 1/((1 + s)(1 + s^2)^2) does not, so there the criterion filters no parameter
+for _name, _cover in (("cli_scan_cover", "quartic_cover"),
+                      ("cli_scan_cover_quintic", "quintic_cover"),
+                      ("cli_scan_cover_mixed", "mixed_orders")):
+    _path = str(FIXTURES / f"{_cover}.json")
+    _SYMPY_FREE[_name] = (
+        "from heightforge.cli import main\n"
+        f"assert main(['scan', '--family', {FAM2!r}, '--cover', {_path!r}, '--t-bound', '0.8',"
+        " '--z-bound', '1.0']) == 0")
 
 
 @pytest.mark.parametrize("name", sorted(_SYMPY_FREE))

@@ -2,8 +2,10 @@
 covers."""
 import functools
 import itertools
+import json
 import math
 import operator
+import pathlib
 import random
 from fractions import Fraction
 
@@ -26,6 +28,11 @@ from heightforge.family import (
     specialize,
     specialized,
 )
+from heightforge.preperiodic import scan
+
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
+COVER_FIXTURES = sorted(p.stem for p in FIXTURES.glob("*.json")
+                        if "numer" in json.loads(p.read_text()))
 
 
 def test_build_family_shape():
@@ -420,3 +427,53 @@ def test_cover_json():
     assert len(js["poles"]) == 2
     locs = {p["location"] for p in js["poles"]}
     assert "-1" in locs and None in locs
+
+
+def test_cover_poles_factored_on_first_read():
+    cov = analyze_cover([1], [1, 0, 0, 0, 1])  # 1 / (1 + t^4)
+    scan(build_family([1, 1], 2), 0.8, 1.0, cover=cov)
+    assert "poles" not in vars(cov)
+    assert "poles" not in repr(cov)
+    assert cov.affine_pole_count() == 4
+    assert "poles" in vars(cov)
+
+
+@pytest.mark.parametrize("name", COVER_FIXTURES)
+def test_cover_poles_are_the_denominators_factors(name):
+    spec = json.loads((FIXTURES / f"{name}.json").read_text())
+    cov = analyze_cover(spec["numer"], spec["denom"])
+    expected = tuple(
+        family.PoleGroup(fac, mult, P.degree(fac), -fac[0] / fac[1] if len(fac) == 2 else None)
+        for fac, mult in P.factor_over_q(cov.denom)[1])
+    assert cov.poles == expected
+
+
+def test_cover_fixture_suite_and_pinned_json():
+    assert len(COVER_FIXTURES) == 12
+    pinned = {
+        "mixed_orders": {
+            "numer": ["1"], "denom": ["1", "1", "2", "2", "1", "1"],
+            "poles": [{"factor": ["1", "1"], "order": 1, "count": 1, "location": "-1"},
+                      {"factor": ["1", "0", "1"], "order": 2, "count": 2, "location": None}],
+            "infinity_order": 0},
+        "septic_cover": {
+            "numer": ["1"], "denom": ["1", "0", "0", "0", "0", "0", "0", "1"],
+            "poles": [{"factor": ["1", "1"], "order": 1, "count": 1, "location": "-1"},
+                      {"factor": ["1", "-1", "1", "-1", "1", "-1", "1"], "order": 1, "count": 6,
+                       "location": None}],
+            "infinity_order": 0},
+    }
+    for name, expected in pinned.items():
+        spec = json.loads((FIXTURES / f"{name}.json").read_text())
+        assert analyze_cover(spec["numer"], spec["denom"]).to_json() == expected
+
+
+def test_cover_equality_ignores_the_pole_cache():
+    a, b = analyze_cover([1], [1, 0, 0, 0, 1]), analyze_cover(["1"], [1, 0, 0, 0, 1, 0])
+    assert a == b and hash(a) == hash(b)
+    assert a.poles  # fills a's cache only
+    assert "poles" in vars(a) and "poles" not in vars(b)
+    assert a == b and hash(a) == hash(b)
+    assert b.poles
+    assert a == b and hash(a) == hash(b)
+    assert a != analyze_cover([1], [1, 0, 0, 0, 0, 1])
