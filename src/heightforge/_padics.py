@@ -7,9 +7,10 @@ therefore carried as a p-adic floating number
     p^k * (u + O(p^m)),   u a unit, 0 < u < p^m,
 
 whose valuation k stays exact as long as the unit part survives, or as
-"zero to absolute precision A" when every tracked digit has cancelled.
-Addition can destroy relative precision; when too little is left the caller
-receives PrecisionLoss and restarts from an exact anchor with more digits.
+"zero to absolute precision A" (v >= A) when every tracked digit has
+cancelled.  The operations never raise: a result keeps its exact valuation
+and whatever digits survive cancellation, or is zero to A when none does;
+the finite-place Green loop decides when such a bound is too weak.
 """
 from __future__ import annotations
 
@@ -17,9 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import padic_valuation
-from .errors import PrecisionLoss
-
-_MIN_REL = 4  # digits below which a result is considered unusable
 
 
 @dataclass(frozen=True)
@@ -42,8 +40,8 @@ class PAdic:
             return PAdic.zero_to(p, abs_prec)
         k = padic_valuation(q, p)
         m = abs_prec - k
-        if m < _MIN_REL:
-            raise PrecisionLoss(f"abs_prec {abs_prec} too small for valuation {k}")
+        if m <= 0:
+            return PAdic.zero_to(p, abs_prec)
         mod = p**m
         num = q.numerator
         den = q.denominator
@@ -83,9 +81,7 @@ class PAdic:
             m = a_prec - x.k
             return PAdic(p, x.k, x.unit % p**m, m)
         k0 = min(self.k, other.k)
-        m0 = a_prec - k0
-        if m0 < _MIN_REL:
-            raise PrecisionLoss("additive cancellation exhausted digits")
+        m0 = a_prec - k0  # >= 1: each operand's abs_prec exceeds its k >= k0
         mod = p**m0
         s = (self.unit * p ** (self.k - k0) + other.unit * p ** (other.k - k0)) % mod
         if s == 0:
@@ -95,9 +91,7 @@ class PAdic:
             s //= p
             t += 1
         k = k0 + t
-        m = a_prec - k
-        if m < _MIN_REL:
-            raise PrecisionLoss("additive cancellation exhausted digits")
+        m = a_prec - k  # >= 1, since s != 0 mod p^m0
         return PAdic(p, k, s % p**m, m)
 
     def __mul__(self, other: "PAdic") -> "PAdic":
@@ -108,6 +102,4 @@ class PAdic:
             # is its abs_prec
             return PAdic.zero_to(p, self.k + other.k)
         m = min(self.m, other.m)
-        if m < _MIN_REL:
-            raise PrecisionLoss("relative precision exhausted in product")
         return PAdic(p, self.k + other.k, (self.unit * other.unit) % p**m, m)

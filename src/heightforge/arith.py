@@ -127,9 +127,10 @@ def integer_root(n: int, k: int) -> tuple[int, bool]:
 # one prime q <= B2 for some, but not every, prime p of it, and otherwise to
 # Brent's Pollard rho, within _RHO_ITERATIONS per factoring.  The primes
 # below 10^4 come from a sieve at import, and p - 1's primes up to B2 from
-# one at its first pass.  sympy's perfect_power, the only sympy call here,
-# is imported at the first composite cofactor with no prime factor below
-# 10^4, so importing the package loads no sympy.
+# one at its first pass.  Before either, a cofactor that is a perfect power
+# c^q, q prime, is factored through its base c: every prime of it is at
+# least 10^4, so c >= 10^4 and only the primes q with 10^(4q) <= c^q need an
+# integer root.  No factoring loads sympy.
 # ---------------------------------------------------------------------------
 
 
@@ -275,19 +276,18 @@ def factor_integer(n: int) -> dict[int, int]:
         if is_prime(m):
             out[m] = out.get(m, 0) + k
             continue
-        from sympy import perfect_power
-
-        power = perfect_power(m)
-        if power:
-            # Pollard rho is slow on powers: factor the base once instead
-            base, exp = power
-            stack.append((base, k * exp))
-            continue
-        g = _pollard_pm1(m)
-        if g is None:
-            g, budget = _pollard_rho(m, budget)
-        stack.append((g, k))
-        stack.append((m // g, k))
+        # Pollard rho is slow on powers: factor the base once instead
+        for q in itertools.takewhile(lambda q: 10_000**q <= m, _SMALL_PRIMES):
+            base, exact = integer_root(m, q)
+            if exact:
+                stack.append((base, k * q))
+                break
+        else:
+            g = _pollard_pm1(m)
+            if g is None:
+                g, budget = _pollard_rho(m, budget)
+            stack.append((g, k))
+            stack.append((m // g, k))
     return dict(sorted(out.items()))
 
 

@@ -19,11 +19,9 @@ class NormalizationUnavailable(DomainError):
 
 
 class PrecisionLoss(HeightforgeError):
-    """Internal: a capped-precision computation lost too many digits.
-
-    Callers catch this and retry with a larger working precision; it never
-    escapes the public API.
-    """
+    """No longer raised; kept for API stability.  p-adic arithmetic returns
+    a value with fewer known digits, and the finite-place Green loop restarts
+    with more digits on its own."""
 
 
 class BudgetExceeded(HeightforgeError):

@@ -257,6 +257,12 @@ class _FiniteGreenData:
             return False
         return vw is None or vw >= self.rho_lo
 
+    def settles(self, a: int) -> bool:
+        """Whether a point known only as v >= a takes v = +infinity's exits:
+        with a disk it lies in it when a >= rho_lo, and with none, when
+        a >= max(0, theta_ceil), it cannot escape and has log+ |z|_p = 0."""
+        return a >= (self.rho_lo if self.disk_feasible else max(0, self.theta_ceil))
+
     def upper_bound(self, vw: Optional[int], n: int) -> tuple[int, int]:
         """Integers (num, den) with G <= (num / den) log p given v(z_n) = vw:
         num / den = (max(0, -vw) + c_up / (d - 1)) / d^n."""

@@ -48,10 +48,12 @@ throughput).  The Green loop reads the orbit as integer pairs
 (num z_n, den z_n) while they stay small: v_p(z_n) is read by dividing den
 (or num when p does not divide den) and the size from their bit lengths, and
 one Fraction is built when the orbit is carried on in windowed p-adic
-arithmetic with restart-on-precision-loss; both phases share one copy of the
-escape, disk, interval and budget exits, which compare v(z_n) with integer
-thresholds (the ceiling of theta, the least integer disk radius) and build
-the interval bound's rational only once its filter has passed.  An exact
+arithmetic, restarted with twice the digits only when a point's digits all
+cancel and its bound v >= A does not settle the exits; both phases share
+one copy of the escape, disk, interval and budget exits, which compare
+v(z_n) with integer thresholds (the ceiling of theta, the least integer
+disk radius) and build the interval bound's rational only once its filter
+has passed.  An exact
 step is one homogeneous Horner evaluation of the integral model on the pair
 (`SpecializedMap.step`), a p-adic step Horner's rule over b in z^e.
 The archimedean place carries z_n as a dyadic interval (lo, hi, x) of
@@ -126,7 +128,7 @@ from .arith import (
     padic_valuation,
     vp_pair,
 )
-from .errors import BudgetExceeded, DomainError, PrecisionLoss
+from .errors import BudgetExceeded, DomainError
 from .family import CoverAnalysis, Family, SpecializedMap, specialized
 
 DEFAULT_TOL = 1e-9
@@ -281,28 +283,28 @@ def _finite_green(
         if num.bit_length() + den.bit_length() > _EXACT_BITS:
             break
 
-    # phase 2: windowed p-adic orbit from z_n != 0, restarting with more digits on loss
+    # phase 2: windowed p-adic orbit from z_n != 0; a point whose digits all
+    # cancelled exits as v = +infinity when its bound settles the exits, and
+    # otherwise restarts the phase from z_n with twice the digits
     w = Fraction(num, den)
     rel = _REL_PREC0
     for _ in range(_MAX_RESTARTS):
-        try:
-            x = PAdic.from_fraction(w, p, vw + rel)
-            b_p = [PAdic.from_fraction(c, p, (v or 0) + rel) for c, v in zip(b, data.vb)]
-            for m in itertools.count(n):
-                if x.is_zeroish and not data.in_disk(x.abs_prec):
-                    raise PrecisionLoss("zeroish value below disk threshold")
-                res = exit_at(x.valuation_exact(), m)
-                if res is not None:
-                    return res
-                x_e = x
-                for _ in range(e - 1):
-                    x_e = x_e * x
-                acc = b_p[-1]
-                for c in reversed(b_p[:-1]):
-                    acc = acc * x_e + c
-                x = acc
-        except PrecisionLoss:
-            rel *= 2
+        x = PAdic.from_fraction(w, p, vw + rel)
+        b_p = [PAdic.from_fraction(c, p, (v or 0) + rel) for c, v in zip(b, data.vb)]
+        for m in itertools.count(n):
+            if x.is_zeroish and not data.settles(x.abs_prec):
+                break
+            res = exit_at(x.valuation_exact(), m)
+            if res is not None:
+                return res
+            x_e = x
+            for _ in range(e - 1):
+                x_e = x_e * x
+            acc = b_p[-1]
+            for c in reversed(b_p[:-1]):
+                acc = acc * x_e + c
+            x = acc
+        rel *= 2
     raise BudgetExceeded(
         f"p-adic precision exhausted for G_{p}", best=None, steps=n
     )

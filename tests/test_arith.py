@@ -146,6 +146,10 @@ def test_factor_integer_matches_sympy():
     samples += [rng.randint(2, 10**12) for _ in range(40)]
     p, q = 100000007, 998244353  # nine-digit primes: powers of pq reach Pollard rho
     samples += [(p * q) ** 2, (p * q) ** 3]
+    # the least primes past the trial bound 10^4: perfect-power cofactors
+    # that are split by an integer root
+    p, q = 10007, 10009
+    samples += [p**2, p**3 * q**3, (p * q) ** 5, p**2 * q**2]
     samples += [rng.randint(2, 10**18) for _ in range(1000)]
     primes = [sympy.nextprime(rng.randrange(10**8, 10**9 - 10**3)) for _ in range(40)]
     samples += [a * b for a, b in zip(primes[::2], primes[1::2])]  # 20 rho splits

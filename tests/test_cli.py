@@ -500,6 +500,11 @@ _SYMPY_FREE = {
                                    "fam = build_family([1, 0, -3, 2], 2)\n"
                                    "assert sorted(map(str, exceptional_places(fam)))"
                                    " == ['2', '3', 'inf']",
+    # 999999866000004473 is two nine-digit primes: factoring the parameter
+    # reaches p - 1 and rho, and tests the cofactor for a perfect power
+    "cli_certify_semiprime": "from heightforge.cli import main\n"
+                             f"assert main(['certify', '--family', {FAM2!r},"
+                             " '--t', '1/999999866000004473', '--z', '1/2']) == 0",
     # a scan evaluates its cover and never reads the cover's pole groups
     "analyze_cover_scan": "from heightforge import analyze_cover, build_family, scan\n"
                           "cov = analyze_cover([1], [1, 0, 0, 0, 1])\n"

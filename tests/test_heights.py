@@ -1,6 +1,7 @@
 """Heights module: pinned values, certified enclosures, defining inequalities."""
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -9,8 +10,10 @@ import sympy
 
 from heightforge.arith import INF, LocalValue, LogSum, Place, padic_valuation, support
 from heightforge.constants import exceptional_places, mk_a, mk_b
-from heightforge.errors import BudgetExceeded, DomainError, PrecisionLoss
-from heightforge.family import analyze_cover, build_family, specialize
+from heightforge.errors import BudgetExceeded, DomainError
+from heightforge.family import (
+    _FiniteGreenData, analyze_cover, build_family, specialize, specialized,
+)
 from heightforge import _polys as P
 from heightforge import heights as H
 from heightforge._intervals import Interval, iv_prec, log_interval
@@ -356,12 +359,13 @@ _PADIC_INPUTS = [
 
 
 def test_green_padic_restarts(monkeypatch):
-    # at 4 starting digits the 2-adic orbit loses its precision: each loss
-    # restarts from z_n with twice the digits, and the result is unchanged
+    # at 4 starting digits the 2-adic orbit loses its precision: each point
+    # whose digits all cancel short of settling the exits restarts from z_n
+    # with twice the digits, and the result is unchanged
     losses = []
-    init = PrecisionLoss.__init__
-    monkeypatch.setattr(PrecisionLoss, "__init__",
-                        lambda self, *a: losses.append(a) or init(self, *a))
+    settles = _FiniteGreenData.settles
+    monkeypatch.setattr(_FiniteGreenData, "settles",
+                        lambda self, a: settles(self, a) or losses.append(a))
     two = Place.finite(2)
     default = [local_green(Z2T, t, two, z) for t, z in _PADIC_INPUTS]
     assert losses == []
@@ -378,6 +382,49 @@ def test_green_padic_restarts(monkeypatch):
             assert "p-adic precision exhausted for G_2" in str(exc) and exc.best is None
             exhausted += 1
     assert exhausted == 22
+
+
+def test_green_padic_orbit_drawn_into_a_cycle_through_zero():
+    # under 3z^2 - 1/3 the orbit of 79 is drawn 3-adically into the cycle
+    # 0 -> -1/3 -> 0, so v_3(z_2k) = 2^k - 1 and the p-adic digits of z_2k
+    # all cancel at every working precision.  No disk is invariant at 3, and
+    # v >= 0 there keeps z_2k out of the escape region with log+ |z|_3 = 0,
+    # which settles the exits: G_3 is certified in milliseconds, not refused
+    # for precision after ten restarts
+    start = time.perf_counter()
+    fam, t, z = build_family([3, 1], 2), Fraction(-1, 3), Fraction(79)
+    h = canonical_height(fam, t, z, tol=1e-9)
+    assert (h.lo, h.hi) == (5.46805123924288, 5.46805123955151)
+    wide = canonical_height(fam, t, z, tol=1e-3, method="global")
+    assert wide.lo <= h.lo and h.hi <= wide.hi
+    assert local_green(fam, t, Place.finite(3), z, tol=1e-9).to_json() == {
+        "value_lo": 0.0, "value_hi": 2.5579060629664693e-10, "mode": "interval",
+        "place": None, "steps": 32}
+    # the same under 9z^2 - 1/9 from z = 59/99, where v_3(z) = -2
+    g = local_green(build_family([9, 1], 2), Fraction(-1, 9), Place.finite(3),
+                    Fraction(59, 99), tol=1e-12)
+    assert g.to_json() == {"value_lo": 0.0, "value_hi": 9.99182055846277e-13,
+                           "mode": "interval", "place": None, "steps": 41}
+    assert time.perf_counter() - start < 1.0
+
+
+def test_green_padic_settles_only_where_the_exits_agree():
+    # a point known only as v >= a may be read as v = +infinity only where no
+    # valuation >= a takes another exit.  With a disk that is a >= rho_lo:
+    # under 2z^4 + (2/27)tz^2 + t^2 at t = 3, rho_lo = 2 and theta = -1, and
+    # 3 (v = 1) escapes while 0 and 9 (v = 2) lie in the disk
+    fam, t, three = build_family([2, Fraction(2, 27), 1], 2), Fraction(3), Place.finite(3)
+    data = specialized(fam, t).green_data(3)
+    assert (data.rho_lo, data.theta_ceil, data.disk_feasible) == (2, -1, True)
+    assert [data.settles(a) for a in range(-1, 4)] == [False, False, False, True, True]
+    assert local_green(fam, t, three, Fraction(3)).mode == "exact-escape"
+    assert {local_green(fam, t, three, z).mode for z in (Fraction(0), Fraction(9))} == {
+        "exact-bounded"}
+    # with none it is a >= max(0, theta_ceil): under 3z^2 - 1/3, theta_ceil = -1,
+    # and a point with v = -1 has log+ |z|_3 = log 3 > 0
+    data = specialized(build_family([3, 1], 2), Fraction(-1, 3)).green_data(3)
+    assert (data.theta_ceil, data.disk_feasible) == (-1, False)
+    assert [data.settles(a) for a in range(-2, 2)] == [False, False, True, True]
 
 
 def test_green_padic_phase_adds_a_zero_form_coefficient(monkeypatch):
